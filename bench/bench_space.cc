@@ -13,8 +13,15 @@
 // flat DocumentIndex (hot) vs the succinct tier (dense), in absolute
 // MemoryUsageBytes per tier on documents up to >10 MB serialized. Under
 // --smoke the largest document gates dense ≤ 40% of hot.
+//
+// The id-axis section does the same for Document::IdAxisBytes() on
+// auction documents, whose text references ids. Under --smoke the
+// largest document gates the axis at ≤ 16 bytes per node.
+//
+// --json PATH writes the per-document bytes and the gate outcome.
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -67,9 +74,21 @@ void PrintSeries(const Series& series) {
   }
 }
 
+struct TierRow {
+  int elements;
+  size_t nodes, hot_bytes, dense_bytes;
+};
+
+struct IdAxisRow {
+  int people;
+  size_t nodes;
+  uint64_t bytes;
+  double bytes_per_node;
+};
+
 /// Per-tier index footprint vs document size. Returns false when the
 /// gate (dense ≤ 40% of hot, checked on the ≥10 MB document) fails.
-bool PrintTierSeries(bool smoke) {
+bool PrintTierSeries(bool smoke, std::vector<TierRow>* rows) {
   printf("\nIndex tiers: per-tier MemoryUsageBytes vs |D|\n");
   printf("  %9s %8s %12s %12s %8s\n", "elements", "ser_MB", "hot_bytes",
          "dense_bytes", "pct");
@@ -84,6 +103,7 @@ bool PrintTierSeries(bool smoke) {
     const double pct =
         100.0 * static_cast<double>(dense) / static_cast<double>(hot);
     printf("  %9d %8.1f %12zu %12zu %7.1f%%\n", n, ser_mb, hot, dense, pct);
+    rows->push_back({n, doc.size(), hot, dense});
     if (smoke && ser_mb >= 10.0) {
       gated = true;
       if (pct > 40.0) {
@@ -101,18 +121,80 @@ bool PrintTierSeries(bool smoke) {
   return ok;
 }
 
+constexpr double kIdAxisGateBytesPerNode = 16.0;
+
+/// Id-axis footprint vs document size. Returns false when the gate
+/// (≤ 16 bytes per node on the largest document) fails.
+bool PrintIdAxisSeries(bool smoke, std::vector<IdAxisRow>* rows) {
+  printf("\nId axis: IdAxisBytes vs |D| (auction documents)\n");
+  printf("  %8s %9s %12s %10s\n", "people", "nodes", "id_axis_bytes",
+         "B/node");
+  for (int people : {5'000, 10'000, 20'000}) {
+    const xml::Document doc = xml::MakeAuctionDocument(people, /*seed=*/2003);
+    const uint64_t bytes = doc.IdAxisBytes();
+    const double per_node =
+        static_cast<double>(bytes) / static_cast<double>(doc.size());
+    printf("  %8d %9u %12llu %10.2f\n", people, doc.size(),
+           static_cast<unsigned long long>(bytes), per_node);
+    rows->push_back({people, doc.size(), bytes, per_node});
+  }
+  const double largest = rows->back().bytes_per_node;
+  if (smoke && largest > kIdAxisGateBytesPerNode) {
+    fprintf(stderr, "FAIL: id axis is %.2f B/node on the largest document "
+                    "(gate: %.0f B/node)\n", largest,
+            kIdAxisGateBytesPerNode);
+    return false;
+  }
+  return true;
+}
+
+bool WriteJson(const char* path, const std::vector<TierRow>& tiers,
+               const std::vector<IdAxisRow>& id_axis, bool ok) {
+  FILE* f = fopen(path, "w");
+  if (f == nullptr) {
+    fprintf(stderr, "FAIL: cannot write %s\n", path);
+    return false;
+  }
+  fprintf(f, "{\n  \"bench\": \"bench_space\",\n  \"tiers\": [");
+  for (size_t i = 0; i < tiers.size(); ++i) {
+    fprintf(f, "%s\n    {\"elements\": %d, \"nodes\": %zu, "
+               "\"hot_bytes\": %zu, \"dense_bytes\": %zu}",
+            i == 0 ? "" : ",", tiers[i].elements, tiers[i].nodes,
+            tiers[i].hot_bytes, tiers[i].dense_bytes);
+  }
+  fprintf(f, "\n  ],\n  \"id_axis\": [");
+  for (size_t i = 0; i < id_axis.size(); ++i) {
+    fprintf(f, "%s\n    {\"people\": %d, \"nodes\": %zu, "
+               "\"id_axis_bytes\": %llu, \"bytes_per_node\": %.2f}",
+            i == 0 ? "" : ",", id_axis[i].people, id_axis[i].nodes,
+            static_cast<unsigned long long>(id_axis[i].bytes),
+            id_axis[i].bytes_per_node);
+  }
+  fprintf(f, "\n  ],\n  \"id_axis_gate_bytes_per_node\": %.0f,\n"
+             "  \"ok\": %s\n}\n",
+          kIdAxisGateBytesPerNode, ok ? "true" : "false");
+  fclose(f);
+  printf("wrote %s\n", path);
+  return true;
+}
+
 }  // namespace
 }  // namespace xpe::bench
 
 int main(int argc, char** argv) {
   using xpe::EngineKind;
   using xpe::bench::PrintSeries;
+  using xpe::bench::PrintIdAxisSeries;
   using xpe::bench::PrintTierSeries;
   using xpe::bench::Series;
 
   bool smoke = false;
+  const char* json_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+      json_path = argv[++i];
+    }
   }
 
   // One positional predicate so every engine builds real tables.
@@ -151,7 +233,17 @@ int main(int argc, char** argv) {
   PrintSeries(Series{"MINCONTEXT on the same Wadler query (expect ~2)",
                      EngineKind::kMinContext, kWadlerQuery,
                      {2, 4, 8, 16, 32}});
-  if (!PrintTierSeries(smoke)) return 1;
-  if (smoke) printf("\nsmoke OK: dense tier within the 40%% space gate\n");
+  std::vector<xpe::bench::TierRow> tiers;
+  std::vector<xpe::bench::IdAxisRow> id_axis;
+  bool ok = PrintTierSeries(smoke, &tiers);
+  ok = PrintIdAxisSeries(smoke, &id_axis) && ok;
+  if (json_path != nullptr) {
+    ok = xpe::bench::WriteJson(json_path, tiers, id_axis, ok) && ok;
+  }
+  if (!ok) return 1;
+  if (smoke) {
+    printf("\nsmoke OK: dense tier within the 40%% space gate, id axis "
+           "within %.0f B/node\n", xpe::bench::kIdAxisGateBytesPerNode);
+  }
   return 0;
 }

@@ -359,7 +359,7 @@ bool AxisRelates(const Document& doc, Axis axis, NodeId x, NodeId y) {
     case Axis::kAttribute:
       return IsAttr(doc, y) && doc.parent(y) == x;
     case Axis::kId: {
-      const std::vector<NodeId>& targets = doc.IdAxisForward(x);
+      const std::span<const NodeId> targets = doc.IdAxisForward(x);
       return std::binary_search(targets.begin(), targets.end(), y);
     }
   }

@@ -77,8 +77,9 @@ SharedPlan PlanCache::Lookup(std::string_view query) {
 StatusOr<SharedPlan> PlanCache::GetOrCompile(std::string_view query,
                                              bool* cache_hit) {
   if (cache_hit != nullptr) *cache_hit = false;
+  std::promise<StatusOr<SharedPlan>> outcome;
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     auto it = by_source_.find(query);
     if (it != by_source_.end()) {
       ++stats_.hits;
@@ -87,8 +88,18 @@ StatusOr<SharedPlan> PlanCache::GetOrCompile(std::string_view query,
       if (cache_hit != nullptr) *cache_hit = true;
       return it->second->plan;
     }
+    auto pending = in_flight_.find(query);
+    if (pending != in_flight_.end()) {
+      ++stats_.hits;
+      hits_metric_->Increment();
+      std::shared_future<StatusOr<SharedPlan>> compiling = pending->second;
+      lock.unlock();
+      if (cache_hit != nullptr) *cache_hit = true;
+      return compiling.get();
+    }
     ++stats_.misses;
     misses_metric_->Increment();
+    in_flight_.emplace(std::string(query), outcome.get_future().share());
   }
 
   // Compile outside the lock: parsing a pathological query must not
@@ -97,24 +108,24 @@ StatusOr<SharedPlan> PlanCache::GetOrCompile(std::string_view query,
   StatusOr<xpath::CompiledQuery> compiled =
       xpath::Compile(query, compile_options_);
   compile_us_metric_->Record((obs::MonotonicNanos() - compile_t0) / 1000);
-  if (!compiled.ok()) {
+  StatusOr<SharedPlan> result =
+      compiled.ok() ? StatusOr<SharedPlan>(
+                          std::make_shared<const xpath::CompiledQuery>(
+                              std::move(compiled).value()))
+                    : StatusOr<SharedPlan>(compiled.status());
+  {
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.failures;
-    failures_metric_->Increment();
-    return compiled.status();
+    in_flight_.erase(in_flight_.find(query));
+    if (result.ok()) {
+      result = InsertLocked(query, std::move(result).value());
+    } else {
+      ++stats_.failures;
+      failures_metric_->Increment();
+    }
   }
-  auto plan =
-      std::make_shared<const xpath::CompiledQuery>(std::move(compiled).value());
-
-  std::lock_guard<std::mutex> lock(mu_);
-  // Another thread may have inserted while we compiled; adopt its entry
-  // so all callers converge on one plan object.
-  auto it = by_source_.find(query);
-  if (it != by_source_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->plan;
-  }
-  return InsertLocked(query, std::move(plan));
+  // Waiters read the outcome through their shared_future copies.
+  outcome.set_value(result);
+  return result;
 }
 
 SharedPlan PlanCache::InsertLocked(std::string_view source, SharedPlan plan) {

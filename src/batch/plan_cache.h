@@ -2,6 +2,7 @@
 #define XPE_BATCH_PLAN_CACHE_H_
 
 #include <cstdint>
+#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -115,13 +116,15 @@ class CanonicalPlanLevel {
 ///
 /// Thread-safety: all members are guarded by one mutex. Compilation runs
 /// outside the lock — a slow compile never blocks cache hits on other
-/// threads; two threads racing to compile the same new query both
-/// compile, then the loser adopts the winner's plan.
+/// threads. Compiles are single-flight: while one caller compiles a
+/// source text, concurrent callers asking for the same text wait for
+/// that compile instead of starting their own, so a burst of misses on
+/// one new query compiles it once.
 class PlanCache {
  public:
   struct Stats {
-    uint64_t hits = 0;            // source-text hits
-    uint64_t misses = 0;          // full compiles (includes failures)
+    uint64_t hits = 0;    // source-text hits, waiters on a compile included
+    uint64_t misses = 0;  // full compiles (includes failures)
     uint64_t canonical_shares = 0;  // new spelling adopted an existing plan
     uint64_t evictions = 0;       // LRU source entries dropped
     uint64_t failures = 0;        // compiles that returned an error
@@ -163,10 +166,12 @@ class PlanCache {
   PlanCache& operator=(const PlanCache&) = delete;
 
   /// Returns the cached plan for `query`, compiling and inserting on
-  /// miss. Compile errors are returned and never cached (a transiently
-  /// mistyped query must not poison the cache). If `cache_hit` is
-  /// non-null it is set to whether the plan came from the source-text
-  /// level without compiling.
+  /// miss. If another caller is already compiling `query`, waits for
+  /// that compile and returns its outcome (counted as a hit). Compile
+  /// errors are returned to the compiling caller and every waiter, and
+  /// never cached (a transiently mistyped query must not poison the
+  /// cache). If `cache_hit` is non-null it is set to whether this call
+  /// returned without compiling.
   StatusOr<SharedPlan> GetOrCompile(std::string_view query,
                                     bool* cache_hit = nullptr);
 
@@ -230,6 +235,11 @@ class PlanCache {
   obs::Histogram* compile_us_metric_;
 
   mutable std::mutex mu_;
+  /// Compiles in progress, by source text; each waiter holds a copy of
+  /// the future.
+  std::unordered_map<std::string, std::shared_future<StatusOr<SharedPlan>>,
+                     StringHash, std::equal_to<>>
+      in_flight_;
   LruList lru_;
   std::unordered_map<std::string_view, LruList::iterator, StringHash,
                      std::equal_to<>>

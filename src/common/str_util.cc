@@ -12,13 +12,7 @@ bool IsXmlWhitespaceChar(char c) {
 
 std::vector<std::string_view> SplitOnWhitespace(std::string_view s) {
   std::vector<std::string_view> out;
-  size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && IsXmlWhitespaceChar(s[i])) ++i;
-    size_t begin = i;
-    while (i < s.size() && !IsXmlWhitespaceChar(s[i])) ++i;
-    if (i > begin) out.push_back(s.substr(begin, i - begin));
-  }
+  ForEachWhitespaceToken(s, [&out](std::string_view t) { out.push_back(t); });
   return out;
 }
 

@@ -10,8 +10,20 @@ namespace xpe {
 /// True for the four XML whitespace characters (space, tab, CR, LF).
 bool IsXmlWhitespaceChar(char c);
 
-/// Splits `s` on runs of XML whitespace, dropping empty tokens. This is the
-/// tokenization `deref_ids` applies to its argument (paper §2.1).
+/// Calls f(token) for each run of non-whitespace in `s`, in order. This is
+/// the tokenization `deref_ids` applies to its argument (paper §2.1).
+template <typename F>
+void ForEachWhitespaceToken(std::string_view s, F f) {
+  size_t i = 0;
+  while (i < s.size()) {
+    while (i < s.size() && IsXmlWhitespaceChar(s[i])) ++i;
+    const size_t begin = i;
+    while (i < s.size() && !IsXmlWhitespaceChar(s[i])) ++i;
+    if (i > begin) f(s.substr(begin, i - begin));
+  }
+}
+
+/// The tokens ForEachWhitespaceToken visits, as a vector.
 std::vector<std::string_view> SplitOnWhitespace(std::string_view s);
 
 /// XPath normalize-space(): strips leading/trailing whitespace and collapses

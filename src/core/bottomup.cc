@@ -282,9 +282,8 @@ class BottomUpEvaluator {
       if (!in_frontier.Test(y)) continue;
       if (step.axis == Axis::kId) {
         if (stats_ != nullptr) ++stats_->axis_evals;
-        const std::vector<NodeId>& targets = doc_.IdAxisForward(y);
+        const std::span<const NodeId> targets = doc_.IdAxisForward(y);
         candidates->assign(targets.begin(), targets.end());
-        SortUnique(candidates.get());
       } else {
         kernel.EvalInto({&y, 1}, candidates.get());
       }

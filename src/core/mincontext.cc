@@ -251,12 +251,8 @@ Status MinContextEngine::EvalStepRelation(AstId step_id, const NodeSet& x,
   out->Reset(ws_.arena(), doc_.size());
 
   if (step.axis == Axis::kId) {
-    EvalWorkspace::ScratchIds targets = ws_.AcquireIds();
     for (NodeId origin : x) {
-      const std::vector<NodeId>& fwd = doc_.IdAxisForward(origin);
-      targets->assign(fwd.begin(), fwd.end());
-      SortUnique(targets.get());
-      out->SetRow(origin, *targets);
+      out->SetRow(origin, doc_.IdAxisForward(origin));
     }
     return Status::OK();
   }

@@ -284,9 +284,8 @@ class TopDownEvaluator {
       for (NodeId x : *x_all) {
         if (step.axis == Axis::kId) {
           if (stats_ != nullptr) ++stats_->axis_evals;
-          const std::vector<NodeId>& fwd = doc_.IdAxisForward(x);
+          const std::span<const NodeId> fwd = doc_.IdAxisForward(x);
           targets->assign(fwd.begin(), fwd.end());
-          SortUnique(targets.get());
         } else {
           kernel.EvalInto({&x, 1}, targets.get());
         }

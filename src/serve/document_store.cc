@@ -57,21 +57,23 @@ bool DocumentStore::Remove(std::string_view name) {
   return true;
 }
 
+DocumentStore::Info DocumentStore::Describe(const DocumentVersion& version) {
+  const xml::Document& doc = version.doc;
+  const index::IndexTier tier = doc.index_tier();
+  // The configured tier is already warm (Put built it), so these
+  // accessors are pure reads — no lazy build under the store lock.
+  const uint64_t bytes = tier == index::IndexTier::kDense
+                             ? doc.succinct_index().MemoryUsageBytes()
+                             : doc.index().MemoryUsageBytes();
+  return Info{version.name, version.version, doc.size(), tier, bytes,
+              doc.summary().MemoryUsageBytes(), doc.IdAxisBytes()};
+}
+
 std::vector<DocumentStore::Info> DocumentStore::List() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<Info> out;
   out.reserve(docs_.size());
-  for (const auto& [name, handle] : docs_) {
-    const index::IndexTier tier = handle->doc.index_tier();
-    // The configured tier is already warm (Put built it), so these
-    // accessors are pure reads — no lazy build under the store lock.
-    const uint64_t bytes =
-        tier == index::IndexTier::kDense
-            ? handle->doc.succinct_index().MemoryUsageBytes()
-            : handle->doc.index().MemoryUsageBytes();
-    out.push_back(Info{name, handle->version, handle->doc.size(), tier, bytes,
-                       handle->doc.summary().MemoryUsageBytes()});
-  }
+  for (const auto& [name, handle] : docs_) out.push_back(Describe(*handle));
   return out;
 }
 

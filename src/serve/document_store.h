@@ -86,7 +86,13 @@ class DocumentStore {
     /// Footprint of the structural summary the analyzer reads
     /// (Document::summary(), warmed at Put like the index).
     uint64_t summary_bytes = 0;
+    /// Footprint of the id-axis arrays (Document::IdAxisBytes(), warmed
+    /// at Put; 0 for a document without an ID attribute).
+    uint64_t id_axis_bytes = 0;
   };
+  /// Info for one published version. Its caches are warm (Put built
+  /// them), so this only reads.
+  static Info Describe(const DocumentVersion& version);
   /// Current documents, sorted by name (deterministic /documents body).
   std::vector<Info> List() const;
 

@@ -193,6 +193,20 @@ bool FieldBool(const Json& body, std::string_view key, bool* out,
   return true;
 }
 
+/// The body of GET /documents/{name} and one entry of GET /documents.
+Json InfoJson(const DocumentStore::Info& info) {
+  auto number = [](uint64_t v) { return Json::Number(static_cast<double>(v)); };
+  Json out = Json::Obj();
+  out.Set("name", Json::Str(info.name));
+  out.Set("version", number(info.version));
+  out.Set("nodes", number(info.nodes));
+  out.Set("index_tier", Json::Str(index::IndexTierToString(info.index_tier)));
+  out.Set("index_bytes", number(info.index_bytes));
+  out.Set("summary_bytes", number(info.summary_bytes));
+  out.Set("id_axis_bytes", number(info.id_axis_bytes));
+  return out;
+}
+
 }  // namespace
 
 Server::Server(ServeOptions options)
@@ -429,17 +443,8 @@ HttpResponse Server::Route(const HttpRequest& request) {
         return ErrorResponse(404, "NotFound",
                              "unknown document \"" + std::string(name) + '"');
       }
-      Json body = Json::Obj();
-      body.Set("name", Json::Str(handle->name));
-      body.Set("version", Json::Number(static_cast<double>(handle->version)));
-      body.Set("nodes", Json::Number(static_cast<double>(handle->doc.size())));
-      body.Set("index_tier",
-               Json::Str(index::IndexTierToString(handle->doc.index_tier())));
-      body.Set("summary_bytes",
-               Json::Number(static_cast<double>(
-                   handle->doc.summary().MemoryUsageBytes())));
       HttpResponse response;
-      response.body = body.Dump();
+      response.body = InfoJson(DocumentStore::Describe(*handle)).Dump();
       return response;
     }
     return ErrorResponse(405, "MethodNotAllowed",
@@ -679,17 +684,7 @@ HttpResponse Server::HandleMetrics(bool json) {
 HttpResponse Server::HandleDocumentList() {
   Json::Array list;
   for (const DocumentStore::Info& info : documents_.List()) {
-    Json entry = Json::Obj();
-    entry.Set("name", Json::Str(info.name));
-    entry.Set("version", Json::Number(static_cast<double>(info.version)));
-    entry.Set("nodes", Json::Number(static_cast<double>(info.nodes)));
-    entry.Set("index_tier",
-              Json::Str(index::IndexTierToString(info.index_tier)));
-    entry.Set("index_bytes",
-              Json::Number(static_cast<double>(info.index_bytes)));
-    entry.Set("summary_bytes",
-              Json::Number(static_cast<double>(info.summary_bytes)));
-    list.push_back(std::move(entry));
+    list.push_back(InfoJson(info));
   }
   Json body = Json::Obj();
   body.Set("documents", Json::Arr(std::move(list)));

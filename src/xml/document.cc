@@ -1,6 +1,7 @@
 #include "src/xml/document.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <mutex>
 #include <sstream>
@@ -14,6 +15,34 @@
 
 namespace xpe::xml {
 
+// The id axis in CSR form: x's forward set is
+// forward_targets[forward_offsets[x] .. forward_offsets[x + 1]), and the
+// inverse direction likewise. One build fills both.
+//
+// The strval of the root, an element or a text node is the slice
+// [text_begin[x], text_begin[subtree_end(x)]) of strval(root), so
+// strval(root) is tokenized once and every whole token is looked up once.
+// A node's forward set is then the hits lying fully inside its slice
+// (found by binary search) plus at most two fragments: a slice boundary
+// can cut a token (text nodes join without a separator), and only the
+// part inside the slice belongs to the node's strval. Attributes,
+// comments and PIs tokenize their own content.
+struct Document::IdAxis {
+  explicit IdAxis(const Document& doc);
+
+  uint64_t MemoryUsageBytes() const {
+    return sizeof(uint32_t) *
+               (forward_offsets.capacity() + inverse_offsets.capacity()) +
+           sizeof(NodeId) *
+               (forward_targets.capacity() + inverse_sources.capacity());
+  }
+
+  std::vector<uint32_t> forward_offsets;  // |D| + 1 entries
+  std::vector<NodeId> forward_targets;
+  std::vector<uint32_t> inverse_offsets;  // |D| + 1 entries
+  std::vector<NodeId> inverse_sources;
+};
+
 /// See the declaration in document.h: the immovable synchronization
 /// primitives of the lazy caches, boxed so Document stays move-only.
 struct Document::LazyCaches {
@@ -25,6 +54,7 @@ struct Document::LazyCaches {
   std::unique_ptr<index::DocumentIndex> document_index;
   std::unique_ptr<succinct::SuccinctDocumentIndex> succinct_index;
   std::unique_ptr<analyze::StructuralSummary> summary;
+  std::unique_ptr<IdAxis> id_axis;
 };
 
 Document::Document() : caches_(std::make_unique<LazyCaches>()) {}
@@ -144,24 +174,181 @@ std::optional<NodeId> Document::GetElementById(std::string_view key) const {
   return it->second;
 }
 
-void Document::BuildIdAxis() const {
-  id_axis_forward_.assign(nodes_.size(), {});
-  id_axis_inverse_.assign(nodes_.size(), {});
-  for (NodeId x = 0; x < nodes_.size(); ++x) {
-    std::vector<NodeId> targets = DerefIds(StringValue(x));
-    for (NodeId y : targets) id_axis_inverse_[y].push_back(x);
-    id_axis_forward_[x] = std::move(targets);
+namespace {
+
+void SortAndDedupe(std::vector<NodeId>* ids) {
+  std::sort(ids->begin(), ids->end());
+  ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+}
+
+}  // namespace
+
+Document::IdAxis::IdAxis(const Document& doc) {
+  const NodeId n = doc.size();
+  // Most tokens are not ids. Before hashing one, check that some key
+  // starts with its first byte and has its length (lengths of 63 and
+  // more share the top bit).
+  size_t max_key = 0;
+  uint64_t key_lengths[256] = {};
+  for (const auto& entry : doc.id_index_) {
+    const std::string& key = entry.first;
+    if (key.empty()) continue;  // no token is empty
+    max_key = std::max(max_key, key.size());
+    key_lengths[static_cast<unsigned char>(key[0])] |=
+        uint64_t{1} << std::min<size_t>(key.size(), 63);
+  }
+  auto lookup = [&](std::string_view token) {
+    if (token.size() > max_key) return kInvalidNodeId;
+    const unsigned char first = static_cast<unsigned char>(token[0]);
+    const size_t length_bit = std::min<size_t>(token.size(), 63);
+    if (((key_lengths[first] >> length_bit) & 1) == 0) return kInvalidNodeId;
+    return doc.GetElementById(token).value_or(kInvalidNodeId);
+  };
+
+  size_t text_size = 0;
+  for (NodeId x = 0; x < n; ++x) {
+    if (doc.IsText(x)) text_size += doc.content(x).size();
+  }
+  std::string text;  // strval(root)
+  text.reserve(text_size);
+  std::vector<size_t> text_begin(n + 1);
+  for (NodeId x = 0; x < n; ++x) {
+    text_begin[x] = text.size();
+    if (doc.IsText(x)) text += doc.content(x);
+  }
+  text_begin[n] = text.size();
+  const std::string_view strval_root = text;
+  auto in_word = [strval_root](size_t i) {
+    return i < strval_root.size() && !IsXmlWhitespaceChar(strval_root[i]);
+  };
+
+  struct Hit {
+    size_t begin, end;  // the token strval_root[begin, end)
+    NodeId target;
+  };
+  std::vector<Hit> hits;
+  ForEachWhitespaceToken(strval_root, [&](std::string_view token) {
+    const NodeId target = lookup(token);
+    if (target == kInvalidNodeId) return;
+    const size_t begin = static_cast<size_t>(token.data() - strval_root.data());
+    hits.push_back({begin, begin + token.size(), target});
+  });
+
+  // The set of the last slice computed: an element whose text is one
+  // text child shares that child's slice, so the child reuses it.
+  std::vector<NodeId> slice_set;
+  size_t slice_lo = 1, slice_hi = 0;  // no slice yet
+  auto compute_slice_set = [&](size_t lo, size_t hi) {
+    slice_lo = lo;
+    slice_hi = hi;
+    slice_set.clear();
+    if (lo == hi) return;
+    auto add = [&](std::string_view token) {
+      const NodeId target = lookup(token);
+      if (target != kInvalidNodeId) slice_set.push_back(target);
+    };
+    auto first = std::lower_bound(
+        hits.begin(), hits.end(), lo,
+        [](const Hit& h, size_t pos) { return h.begin < pos; });
+    auto last = std::upper_bound(
+        first, hits.end(), hi,
+        [](size_t pos, const Hit& h) { return pos < h.end; });
+    for (auto it = first; it < last; ++it) slice_set.push_back(it->target);
+    // Scans stop one character past the longest key: a longer fragment
+    // cannot be an id. When the slice lies inside one token, both ends
+    // cut the same fragment, and it is looked up once.
+    bool whole_slice_cut = false;
+    if (lo > 0 && in_word(lo - 1) && in_word(lo)) {
+      const size_t stop = std::min(hi, lo + max_key + 1);
+      size_t end = lo;
+      while (end < stop && in_word(end)) ++end;
+      add(strval_root.substr(lo, end - lo));
+      whole_slice_cut = end == hi;
+    }
+    if (!whole_slice_cut && in_word(hi - 1) && in_word(hi)) {
+      const size_t stop = hi - lo > max_key + 1 ? hi - max_key - 1 : lo;
+      size_t begin = hi;
+      while (begin > stop && in_word(begin - 1)) --begin;
+      add(strval_root.substr(begin, hi - begin));
+    }
+    SortAndDedupe(&slice_set);
+  };
+
+  forward_offsets.reserve(n + 1);
+  forward_offsets.push_back(0);
+  std::vector<NodeId> own_set;
+  for (NodeId x = 0; x < n; ++x) {
+    switch (doc.kind(x)) {
+      case NodeKind::kAttribute:
+      case NodeKind::kComment:
+      case NodeKind::kProcessingInstruction:
+        own_set.clear();
+        ForEachWhitespaceToken(doc.content(x), [&](std::string_view token) {
+          const NodeId target = lookup(token);
+          if (target != kInvalidNodeId) own_set.push_back(target);
+        });
+        SortAndDedupe(&own_set);
+        forward_targets.insert(forward_targets.end(), own_set.begin(),
+                               own_set.end());
+        break;
+      case NodeKind::kRoot:
+      case NodeKind::kElement:
+      case NodeKind::kText: {
+        const size_t lo = text_begin[x];
+        const size_t hi = text_begin[doc.subtree_end(x)];
+        if (lo != slice_lo || hi != slice_hi) compute_slice_set(lo, hi);
+        forward_targets.insert(forward_targets.end(), slice_set.begin(),
+                               slice_set.end());
+        break;
+      }
+    }
+    // A document whose forward sets hold 2^32 entries would need 16 GiB
+    // for the targets alone.
+    if (forward_targets.size() > UINT32_MAX) std::abort();
+    forward_offsets.push_back(static_cast<uint32_t>(forward_targets.size()));
+  }
+  forward_targets.shrink_to_fit();
+
+  // Counting sort by target. Sources are visited in ascending order, so
+  // each inverse set comes out ascending.
+  inverse_offsets.assign(n + 1, 0);
+  for (NodeId y : forward_targets) ++inverse_offsets[y + 1];
+  for (NodeId y = 0; y < n; ++y) inverse_offsets[y + 1] += inverse_offsets[y];
+  inverse_sources.resize(forward_targets.size());
+  std::vector<uint32_t> cursor(inverse_offsets.begin(),
+                               inverse_offsets.end() - 1);
+  for (NodeId x = 0; x < n; ++x) {
+    for (uint32_t i = forward_offsets[x]; i < forward_offsets[x + 1]; ++i) {
+      inverse_sources[cursor[forward_targets[i]]++] = x;
+    }
   }
 }
 
-const std::vector<NodeId>& Document::IdAxisInverse(NodeId y) const {
-  std::call_once(caches_->id_axis_once, [this] { BuildIdAxis(); });
-  return id_axis_inverse_[y];
+const Document::IdAxis& Document::id_axis() const {
+  std::call_once(caches_->id_axis_once, [this] {
+    caches_->id_axis = std::make_unique<IdAxis>(*this);
+  });
+  return *caches_->id_axis;
 }
 
-const std::vector<NodeId>& Document::IdAxisForward(NodeId x) const {
-  std::call_once(caches_->id_axis_once, [this] { BuildIdAxis(); });
-  return id_axis_forward_[x];
+std::span<const NodeId> Document::IdAxisForward(NodeId x) const {
+  if (id_index_.empty()) return {};
+  const IdAxis& axis = id_axis();
+  const uint32_t begin = axis.forward_offsets[x];
+  return {axis.forward_targets.data() + begin,
+          axis.forward_offsets[x + 1] - begin};
+}
+
+std::span<const NodeId> Document::IdAxisInverse(NodeId y) const {
+  if (id_index_.empty()) return {};
+  const IdAxis& axis = id_axis();
+  const uint32_t begin = axis.inverse_offsets[y];
+  return {axis.inverse_sources.data() + begin,
+          axis.inverse_offsets[y + 1] - begin};
+}
+
+uint64_t Document::IdAxisBytes() const {
+  return id_index_.empty() ? 0 : id_axis().MemoryUsageBytes();
 }
 
 const index::DocumentIndex& Document::index() const {
@@ -207,7 +394,7 @@ void Document::WarmCaches() const {
   } else {
     index();
   }
-  if (size() > 0) IdAxisForward(0);  // one call builds both directions
+  IdAxisForward(0);  // builds both directions; a no-op without ids
   EnsureNumberCache();
   summary();  // the analyzer's DataGuide — tiny, and read on every query
 }

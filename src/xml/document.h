@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -46,7 +47,7 @@ struct StringViewHash {
 /// interval [id, subtree_end(id)). Build documents with DocumentBuilder or
 /// the parser (see parser.h); once built, a Document is logically const
 /// and safe for concurrent read-only use from any number of threads: the
-/// lazily built caches are synchronized — the id-axis tables and the
+/// lazily built caches are synchronized — the id-axis arrays and the
 /// search index behind index() by std::once_flag, the per-node number
 /// cache by per-entry release/acquire atomics — so concurrent first-use
 /// is fine. Moving a Document concurrent with reads is, as usual, not.
@@ -129,13 +130,16 @@ class Document {
   index::IndexTier index_tier() const { return index_tier_; }
   void set_index_tier(index::IndexTier tier) { index_tier_ = tier; }
 
-  /// Force-builds every lazy cache (the search index of the configured
-  /// tier, id-axis tables, the number-cache arrays) so that all
-  /// subsequent use is pure reads. Servers call this once per document
-  /// before fanning evaluations out to a worker pool: first-touch under
-  /// contention is safe without it (see the class comment), but warming
-  /// keeps the O(|D|) builds out of query latency. Idempotent,
-  /// thread-safe.
+  /// Force-builds every lazy cache so that all subsequent use is pure
+  /// reads: the search index of the configured tier, the id-axis arrays
+  /// (only when the document has an ID attribute; otherwise the axis is
+  /// empty and nothing is built), the number-cache arrays and the
+  /// structural summary. Each build is O(|D|) apart from the id axis,
+  /// whose cost is given at IdAxisForward. Servers call this once per
+  /// document before fanning evaluations out to a worker pool:
+  /// first-touch under contention is safe without it (see the class
+  /// comment), but warming keeps the builds out of query latency.
+  /// Idempotent, thread-safe.
   void WarmCaches() const;
 
   /// Attribute nodes of an element: the id range
@@ -170,11 +174,23 @@ class Document {
   /// Name of the attribute treated as the ID attribute (default "id").
   const std::string& id_attribute_name() const { return id_attribute_name_; }
 
-  /// Nodes x with y in deref_ids(strval(x)) — the inverse of the paper's
-  /// id-"axis" (§4). Built lazily on first use, O(sum of strval lengths).
-  const std::vector<NodeId>& IdAxisInverse(NodeId y) const;
-  /// Nodes reachable from x via the id-"axis", i.e. deref_ids(strval(x)).
-  const std::vector<NodeId>& IdAxisForward(NodeId x) const;
+  /// Nodes reachable from x via the id-"axis" (§4), i.e.
+  /// deref_ids(strval(x)), ascending. Both directions are built together
+  /// on first use of either, as flat offset/target arrays (8 bytes per
+  /// node plus 8 per (x, y) pair). The build tokenizes strval(root) and
+  /// every attribute, comment and PI content once; each node then costs
+  /// two binary searches over the H tokens that are ids, at most two
+  /// lookups of a token cut by its strval's ends, and sorting its set:
+  /// O(T + |D| (log H + L) + F log F) for T bytes of content, longest id
+  /// L, and F the summed size of the unsorted sets. A document without an
+  /// ID attribute builds nothing and returns empty spans.
+  std::span<const NodeId> IdAxisForward(NodeId x) const;
+  /// Nodes x with y in deref_ids(strval(x)) — the inverse of the id-axis,
+  /// ascending. Same build as IdAxisForward.
+  std::span<const NodeId> IdAxisInverse(NodeId y) const;
+  /// Heap bytes of the id-axis arrays, building them if needed; 0 for a
+  /// document without an ID attribute.
+  uint64_t IdAxisBytes() const;
 
   /// Debug rendering: one line per node with id, kind, name and links.
   std::string DebugDump() const;
@@ -184,11 +200,14 @@ class Document {
 
   /// Synchronization state for the lazy caches: once_flags for the
   /// one-shot builds (id axis, search index, number-cache sizing) and
-  /// the index storage itself. Heap-allocated because std::once_flag is
-  /// immovable while Document is move-only; defined in document.cc.
+  /// the built caches themselves. Heap-allocated because std::once_flag
+  /// is immovable while Document is move-only; defined in document.cc.
   struct LazyCaches;
+  /// The id-axis arrays (both directions); defined in document.cc.
+  struct IdAxis;
 
-  void BuildIdAxis() const;
+  /// The built id axis. Only call when id_index_ is non-empty.
+  const IdAxis& id_axis() const;
   void EnsureNumberCache() const;
 
   std::vector<NodeRecord> nodes_;
@@ -203,15 +222,12 @@ class Document {
   // forward-declared here.
   index::IndexTier index_tier_{};
 
-  // Lazy caches (see class comment re. thread-safety). The id-axis
-  // vectors are published through the once_flag in caches_; the number
-  // cache is filled lock-free with per-entry release/acquire pairs
+  // Lazy caches (see class comment re. thread-safety). The number cache
+  // is filled lock-free with per-entry release/acquire pairs
   // (NumberValue is deterministic, so racing fillers store the same
-  // value).
+  // value); everything else is published through a once_flag in caches_.
   mutable std::vector<std::atomic<double>> number_cache_;
   mutable std::vector<std::atomic<uint8_t>> number_cached_;
-  mutable std::vector<std::vector<NodeId>> id_axis_forward_;
-  mutable std::vector<std::vector<NodeId>> id_axis_inverse_;
   mutable std::unique_ptr<LazyCaches> caches_;
 };
 

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -168,6 +170,83 @@ TEST(PlanCacheTest, ConcurrentGetOrCompileConvergesOnOnePlan) {
   for (const char* q : queries) {
     EXPECT_NE(cache.Lookup(q), nullptr) << q;
   }
+}
+
+/// A query text whose compile takes long enough (a union of a few
+/// thousand steps) that threads released together all arrive while it
+/// is still compiling. `tail` is appended to the last branch.
+std::string SlowCompileText(const std::string& tail = "") {
+  std::string text = "//a[1]";
+  for (int i = 2; i <= 3000; ++i) text += " | //a[" + std::to_string(i) + "]";
+  return text + tail;
+}
+
+/// Releases `threads` callers of GetOrCompile(text) at once; returns
+/// their results and how many reported a cache hit.
+std::vector<StatusOr<SharedPlan>> MissTogether(PlanCache* cache,
+                                               const std::string& text,
+                                               int threads, int* hits) {
+  std::vector<StatusOr<SharedPlan>> results(threads, Status::Internal("unset"));
+  std::vector<char> hit(threads, 0);
+  std::latch start(threads);
+  std::vector<std::thread> pool;
+  pool.reserve(threads);
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      start.arrive_and_wait();
+      bool h = false;
+      results[t] = cache->GetOrCompile(text, &h);
+      hit[t] = h;
+    });
+  }
+  for (std::thread& t : pool) t.join();
+  *hits = 0;
+  for (char h : hit) *hits += h;
+  return results;
+}
+
+TEST(PlanCacheTest, ConcurrentMissesOnOneTextCompileOnce) {
+  constexpr int kThreads = 8;
+  obs::Registry registry;
+  PlanCache cache(8, {}, &registry);
+  int hits = 0;
+  const std::vector<StatusOr<SharedPlan>> results =
+      MissTogether(&cache, SlowCompileText(), kThreads, &hits);
+  for (const StatusOr<SharedPlan>& plan : results) {
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_EQ(plan->get(), results[0]->get()) << "one compile, one plan";
+  }
+  // Waiters on the in-flight compile count as hits, so misses is the
+  // number of compiles.
+  EXPECT_EQ(hits, kThreads - 1);
+  const PlanCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, static_cast<uint64_t>(kThreads - 1));
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(registry.GetHistogram("xpe_plan_cache_compile_us")->count(), 1u);
+}
+
+TEST(PlanCacheTest, ConcurrentMissesShareOneFailedCompile) {
+  constexpr int kThreads = 8;
+  PlanCache cache(8);
+  const std::string bad = SlowCompileText(" | //a[");
+  int hits = 0;
+  for (const StatusOr<SharedPlan>& plan :
+       MissTogether(&cache, bad, kThreads, &hits)) {
+    EXPECT_FALSE(plan.ok());
+  }
+  EXPECT_EQ(hits, kThreads - 1);
+  PlanCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.failures, 1u);
+  EXPECT_EQ(stats.entries, 0u);
+  // The failure was not cached: the next caller compiles again.
+  bool hit = true;
+  EXPECT_FALSE(cache.GetOrCompile(bad, &hit).ok());
+  EXPECT_FALSE(hit);
+  stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.failures, 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -398,10 +398,24 @@ TEST_F(ServeTest, DocumentCrudOverHttp) {
   ASSERT_EQ(docs.size(), 2u) << "catalog + fresh, sorted";
   EXPECT_EQ(docs[0].Find("name")->string(), "catalog");
   EXPECT_EQ(docs[1].Find("name")->string(), "fresh");
+  // The catalog's book ids give it an id axis; <r><x/></r> has none, so
+  // nothing was built for it.
+  const double catalog_id_axis_bytes = static_cast<double>(
+      server_->documents().Get("catalog")->doc.IdAxisBytes());
+  EXPECT_GT(catalog_id_axis_bytes, 0);
+  EXPECT_EQ(docs[0].Find("id_axis_bytes")->number(), catalog_id_axis_bytes);
+  EXPECT_EQ(docs[1].Find("id_axis_bytes")->number(), 0);
 
   StatusOr<HttpResponse> info = client_.RoundTrip("GET", "/documents/fresh");
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(MustJson(*info).Find("nodes")->number(), 3);
+  EXPECT_EQ(MustJson(*info).Find("id_axis_bytes")->number(), 0);
+  info = client_.RoundTrip("GET", "/documents/catalog");
+  ASSERT_TRUE(info.ok());
+  const Json catalog = MustJson(*info);
+  EXPECT_EQ(catalog.Find("id_axis_bytes")->number(), catalog_id_axis_bytes);
+  EXPECT_EQ(catalog.Find("index_bytes")->number(),
+            docs[0].Find("index_bytes")->number());
 
   StatusOr<HttpResponse> del = client_.RoundTrip("DELETE", "/documents/fresh");
   ASSERT_TRUE(del.ok());
