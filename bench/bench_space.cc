@@ -18,6 +18,12 @@
 // auction documents, whose text references ids. Under --smoke the
 // largest document gates the axis at ≤ 16 bytes per node.
 //
+// The point-query section reads EvalStats::arena_bytes_peak of one-origin
+// queries (id('personK')/name, count(id('auctionK')/bidder)) on the same
+// auction documents: per-origin tables are paged, so the session arena
+// follows the rows a query commits, not |D|. Under --smoke the largest
+// document gates each query at ≤ 64 KiB.
+//
 // --json PATH writes the per-document bytes and the gate outcome.
 
 #include <cmath>
@@ -148,8 +154,60 @@ bool PrintIdAxisSeries(bool smoke, std::vector<IdAxisRow>* rows) {
   return true;
 }
 
+struct PointArenaRow {
+  int people;
+  size_t nodes;
+  std::string query;
+  uint64_t arena_bytes_peak;
+};
+
+constexpr uint64_t kPointArenaGateBytes = 64 * 1024;
+
+/// Session-arena peak of one-origin queries vs document size. Returns
+/// false when a query exceeds the gate on the largest document.
+bool PrintPointArenaSeries(bool smoke, std::vector<PointArenaRow>* rows) {
+  printf("\nPoint-query arena: arena_bytes_peak vs |D| (auction documents, "
+         "default engine)\n");
+  printf("  %8s %9s %-34s %12s\n", "people", "nodes", "query",
+         "arena_bytes");
+  bool ok = true;
+  const int sizes[] = {5'000, 10'000, 20'000};
+  for (int people : sizes) {
+    const xml::Document doc = xml::MakeAuctionDocument(people, /*seed=*/2003);
+    // Auctions number people/3, so K = people/6 names both a person and
+    // an auction mid-document.
+    const std::string k = std::to_string(people / 6);
+    for (const std::string& query : {"id('person" + k + "')/name",
+                                     "count(id('auction" + k + "')/bidder)"}) {
+      EvalStats stats;
+      EvalOptions options;
+      options.stats = &stats;
+      const StatusOr<Value> v =
+          Evaluate(MustCompile(query), doc, EvalContext{}, options);
+      if (!v.ok()) {
+        fprintf(stderr, "eval(%s): %s\n", query.c_str(),
+                v.status().ToString().c_str());
+        std::abort();
+      }
+      printf("  %8d %9u %-34s %12llu\n", people, doc.size(), query.c_str(),
+             static_cast<unsigned long long>(stats.arena_bytes_peak));
+      rows->push_back({people, doc.size(), query, stats.arena_bytes_peak});
+      if (smoke && people == sizes[2] &&
+          stats.arena_bytes_peak > kPointArenaGateBytes) {
+        fprintf(stderr, "FAIL: %s peaks at %llu arena bytes on the largest "
+                        "document (gate: %llu)\n", query.c_str(),
+                static_cast<unsigned long long>(stats.arena_bytes_peak),
+                static_cast<unsigned long long>(kPointArenaGateBytes));
+        ok = false;
+      }
+    }
+  }
+  return ok;
+}
+
 bool WriteJson(const char* path, const std::vector<TierRow>& tiers,
-               const std::vector<IdAxisRow>& id_axis, bool ok) {
+               const std::vector<IdAxisRow>& id_axis,
+               const std::vector<PointArenaRow>& point_arena, bool ok) {
   FILE* f = fopen(path, "w");
   if (f == nullptr) {
     fprintf(stderr, "FAIL: cannot write %s\n", path);
@@ -170,9 +228,20 @@ bool WriteJson(const char* path, const std::vector<TierRow>& tiers,
             static_cast<unsigned long long>(id_axis[i].bytes),
             id_axis[i].bytes_per_node);
   }
+  fprintf(f, "\n  ],\n  \"point_arena\": [");
+  for (size_t i = 0; i < point_arena.size(); ++i) {
+    fprintf(f, "%s\n    {\"people\": %d, \"nodes\": %zu, "
+               "\"query\": \"%s\", \"arena_bytes_peak\": %llu}",
+            i == 0 ? "" : ",", point_arena[i].people, point_arena[i].nodes,
+            point_arena[i].query.c_str(),
+            static_cast<unsigned long long>(point_arena[i].arena_bytes_peak));
+  }
   fprintf(f, "\n  ],\n  \"id_axis_gate_bytes_per_node\": %.0f,\n"
+             "  \"point_arena_gate_bytes\": %llu,\n"
              "  \"ok\": %s\n}\n",
-          kIdAxisGateBytesPerNode, ok ? "true" : "false");
+          kIdAxisGateBytesPerNode,
+          static_cast<unsigned long long>(kPointArenaGateBytes),
+          ok ? "true" : "false");
   fclose(f);
   printf("wrote %s\n", path);
   return true;
@@ -185,6 +254,7 @@ int main(int argc, char** argv) {
   using xpe::EngineKind;
   using xpe::bench::PrintSeries;
   using xpe::bench::PrintIdAxisSeries;
+  using xpe::bench::PrintPointArenaSeries;
   using xpe::bench::PrintTierSeries;
   using xpe::bench::Series;
 
@@ -235,15 +305,21 @@ int main(int argc, char** argv) {
                      {2, 4, 8, 16, 32}});
   std::vector<xpe::bench::TierRow> tiers;
   std::vector<xpe::bench::IdAxisRow> id_axis;
+  std::vector<xpe::bench::PointArenaRow> point_arena;
   bool ok = PrintTierSeries(smoke, &tiers);
   ok = PrintIdAxisSeries(smoke, &id_axis) && ok;
+  ok = PrintPointArenaSeries(smoke, &point_arena) && ok;
   if (json_path != nullptr) {
-    ok = xpe::bench::WriteJson(json_path, tiers, id_axis, ok) && ok;
+    ok = xpe::bench::WriteJson(json_path, tiers, id_axis, point_arena, ok) &&
+         ok;
   }
   if (!ok) return 1;
   if (smoke) {
     printf("\nsmoke OK: dense tier within the 40%% space gate, id axis "
-           "within %.0f B/node\n", xpe::bench::kIdAxisGateBytesPerNode);
+           "within %.0f B/node, point-query arena within %llu KiB\n",
+           xpe::bench::kIdAxisGateBytesPerNode,
+           static_cast<unsigned long long>(
+               xpe::bench::kPointArenaGateBytes / 1024));
   }
   return 0;
 }

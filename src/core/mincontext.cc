@@ -488,11 +488,14 @@ StatusOr<NodeSet> MinContextEngine::EvalOutermostLocpath(AstId id,
         // One budget unit per (step, frontier node), as in Core XPath.
         XPE_RETURN_IF_ERROR(ChargeBudget(current.size()));
         if (step.axis == Axis::kId) {
-          NodeBitmap targets(doc_.size());
+          // Gather + sort: O(image log image), not O(|D|) like a bitmap.
+          EvalWorkspace::ScratchIds targets = ws_.AcquireIds();
           for (NodeId origin : current) {
-            for (NodeId t : doc_.IdAxisForward(origin)) targets.Set(t);
+            const std::span<const NodeId> fwd = doc_.IdAxisForward(origin);
+            targets->insert(targets->end(), fwd.begin(), fwd.end());
           }
-          current = targets.ToNodeSet();
+          SortUnique(targets.get());
+          current = NodeSet::FromSorted(*targets);
           continue;
         }
         // A predicate-free final step is where the early-terminating

@@ -26,7 +26,9 @@ namespace xpe::internal {
 ///    evaluated per single context inside the ⟨cp,cs⟩ loops;
 ///  - node-set nodes store per-origin result rows in a flat NodeTable
 ///    (the pair relations of eval_inner_locpath, ≤ |dom|² cells in
-///    total, one contiguous buffer per expression).
+///    total, one contiguous buffer per expression). Keys span |dom| but
+///    the row directory is paged, so a table costs O(rows + |dom|/256):
+///    only the origins actually evaluated are paid for.
 class MinContextEngine {
  public:
   /// Reads stats/budget/use_index/ablate_outermost_sets from `options`;
@@ -51,7 +53,8 @@ class MinContextEngine {
 
   ScalarTable& scalar_table(xpath::AstId id) { return scalar_tables_[id]; }
   /// The per-origin relation table of a node-set expression, bound to
-  /// the session arena on first use (num_keys = |dom|).
+  /// the session arena on first use (num_keys = |dom|; paged, so binding
+  /// costs |dom|/256 pointers and each row's page is allocated on commit).
   NodeTable& rel_table(xpath::AstId id) {
     NodeTable& t = rel_tables_[id];
     if (!t.initialized()) t.Reset(ws_.arena(), doc_.size());

@@ -134,25 +134,59 @@ bool ScanIsCheaper(size_t candidates, size_t origins, NodeId doc_size) {
   return candidates * std::bit_width(origins + 1) > doc_size;
 }
 
-/// The postings subrange a child step inspects: candidates inside the
-/// covering interval of X's subtrees.
+/// How a child step walks the postings. The default is one covering
+/// window — the candidates between X's first origin and its last
+/// subtree end — each paying an O(log |X|) parent probe. When the origins
+/// are few and scattered that window can span most of the document while
+/// the answer is a handful of nodes, so disjoint origins switch to one
+/// LowerBound window per origin once |X|·log|postings| undercuts the
+/// covering window. The verdict reads sizes only, so the hot and dense
+/// tiers (and IndexedStepWorthwhile) always agree.
+struct ChildPlan {
+  size_t begin = 0, end = 0;  // the covering window
+  bool per_origin = false;
+};
+
 template <typename Seq>
-std::pair<size_t, size_t> ChildWindow(const Document& doc,
-                                      const Seq& postings,
-                                      std::span<const NodeId> x) {
+ChildPlan PlanChildStep(const Document& doc, const Seq& postings,
+                        std::span<const NodeId> x) {
   NodeId hi = 0;
-  for (NodeId origin : x) hi = std::max(hi, doc.subtree_end(origin));
-  const size_t begin = postings.LowerBound(x.front() + 1);
-  return {begin, postings.LowerBoundFrom(begin, hi)};
+  bool disjoint = true;
+  for (NodeId origin : x) {
+    disjoint = disjoint && origin >= hi;  // x ascends: nested iff inside
+    hi = std::max(hi, doc.subtree_end(origin));
+  }
+  ChildPlan plan;
+  plan.begin = postings.LowerBound(x.front() + 1);
+  plan.end = postings.LowerBound(hi);
+  plan.per_origin =
+      disjoint && x.size() * std::bit_width(postings.size()) <
+                      plan.end - plan.begin;
+  return plan;
 }
 
 template <typename Seq>
 void ChildStep(const Document& doc, const Seq& postings,
                std::span<const NodeId> x, std::vector<NodeId>* out,
                uint64_t limit) {
+  const ChildPlan plan = PlanChildStep(doc, postings, x);
+  if (plan.per_origin) {
+    // Disjoint subtrees ascend, so per-origin windows emit in document
+    // order and the parent test is a plain comparison.
+    for (NodeId origin : x) {
+      const size_t k0 = postings.LowerBound(origin + 1);
+      const size_t k1 = postings.LowerBoundFrom(k0, doc.subtree_end(origin));
+      const bool more = postings.Scan(k0, k1, [&](NodeId id) {
+        if (AtLimit(out, limit)) return false;
+        if (doc.parent(id) == origin) out->push_back(id);
+        return true;
+      });
+      if (!more) return;
+    }
+    return;
+  }
   // Each candidate in the window pays one O(log |X|) parent probe.
-  auto [begin, end] = ChildWindow(doc, postings, x);
-  postings.Scan(begin, end, [&](NodeId id) {
+  postings.Scan(plan.begin, plan.end, [&](NodeId id) {
     if (AtLimit(out, limit)) return false;
     if (std::binary_search(x.begin(), x.end(), doc.parent(id))) {
       PushOrdered(out, id);
@@ -337,12 +371,11 @@ bool IndexedStepWorthwhile(const Document& doc, const PostingsView& postings,
   switch (axis) {
     case Axis::kChild: {
       // Window bounds are two binary searches on either tier; the
-      // verdict depends on sizes only, so both tiers agree.
-      NodeId hi = 0;
-      for (NodeId origin : x) hi = std::max(hi, doc.subtree_end(origin));
-      const size_t begin = postings.LowerBound(x.front() + 1);
-      const size_t end = postings.LowerBound(hi);
-      return !ScanIsCheaper(end - begin, x.size(), doc.size());
+      // verdict depends on sizes only, so both tiers agree. Per-origin
+      // windows cost under the covering window's size, itself ≤ |D|.
+      const ChildPlan plan = PlanChildStep(doc, postings, x);
+      return plan.per_origin ||
+             !ScanIsCheaper(plan.end - plan.begin, x.size(), doc.size());
     }
     case Axis::kAncestor:
     case Axis::kAncestorOrSelf:

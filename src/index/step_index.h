@@ -43,7 +43,9 @@ inline constexpr uint64_t kNoStepLimit = ~uint64_t{0};
 ///    disjoint maximal subtree intervals [x, subtree_end(x)) of X —
 ///    O(X + occ + log P);
 ///  - child: postings scan over the covering interval with an O(log X)
-///    parent membership probe per candidate;
+///    parent membership probe per candidate — or, for a few disjoint
+///    origins spread wider than X·log P candidates, one binary-searched
+///    window per origin;
 ///  - ancestor/ancestor-or-self: one O(log X) interval probe per posting,
 ///    O(P log X);
 ///  - attribute: per-origin binary search of the attribute postings;

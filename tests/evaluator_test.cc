@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <thread>
 
 #include "src/xml/generator.h"
@@ -84,6 +86,152 @@ TEST(NodeTableTest, RowsInAnyKeyOrder) {
   table.SetRow(3, row3b);
   EXPECT_EQ(table.RowAsNodeSet(3).ToString(), "{0}");
   EXPECT_EQ(table.cells(), 3u);
+}
+
+TEST(NodeTableTest, PageBoundaryKeys) {
+  constexpr uint32_t kKeys = 1000;  // |D|: four pages, the last partial
+  EvalArena arena;
+  NodeTable table;
+  table.Reset(&arena, kKeys);
+  for (uint32_t key : {0u, 255u, 256u, kKeys - 1}) {
+    EXPECT_FALSE(table.has_row(key)) << key;
+    EXPECT_TRUE(table.Row(key).empty()) << key;
+  }
+  for (uint32_t key : {0u, 255u, 256u, kKeys - 1}) {
+    const NodeId row[] = {key, key + 1};
+    table.SetRow(key, row);
+  }
+  for (uint32_t key : {0u, 255u, 256u, kKeys - 1}) {
+    ASSERT_TRUE(table.has_row(key)) << key;
+    ASSERT_EQ(table.Row(key).size(), 2u) << key;
+    EXPECT_EQ(table.Row(key)[0], key);
+    EXPECT_EQ(table.Row(key)[1], key + 1);
+  }
+  // Neighbours on the touched pages stay absent.
+  for (uint32_t key : {1u, 254u, 257u, kKeys - 2}) {
+    EXPECT_FALSE(table.has_row(key)) << key;
+  }
+  EXPECT_EQ(table.cells(), 8u);
+}
+
+TEST(NodeTableTest, CommitsInDescendingAndRandomOrder) {
+  constexpr uint32_t kKeys = 3000;
+  std::vector<uint32_t> descending;
+  for (uint32_t k = kKeys; k-- > 0;) {
+    if (k % 7 == 0) descending.push_back(k);
+  }
+  std::vector<uint32_t> shuffled = descending;
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937(2003));
+  for (const std::vector<uint32_t>* order : {&descending, &shuffled}) {
+    EvalArena arena;
+    NodeTable table;
+    table.Reset(&arena, kKeys);
+    for (uint32_t key : *order) {
+      table.BeginRow(key);
+      table.PushOrdered(key);
+      table.PushOrdered(key + kKeys);
+      table.CommitRow();
+    }
+    for (uint32_t k = 0; k < kKeys; ++k) {
+      ASSERT_EQ(table.has_row(k), k % 7 == 0) << k;
+      if (k % 7 != 0) continue;
+      ASSERT_EQ(table.Row(k).size(), 2u) << k;
+      EXPECT_EQ(table.Row(k)[0], k);
+      EXPECT_EQ(table.Row(k)[1], k + kKeys);
+    }
+    EXPECT_EQ(table.cells(), 2 * descending.size());
+  }
+}
+
+TEST(NodeTableTest, EmptyRowIsNotAbsentAndRowsReset) {
+  EvalArena arena;
+  NodeTable table;
+  table.Reset(&arena, 600);
+  table.SetRow(300, std::span<const NodeId>{});
+  EXPECT_TRUE(table.has_row(300));   // committed, empty
+  EXPECT_FALSE(table.has_row(301));  // same page, never committed
+  EXPECT_FALSE(table.has_row(10));   // untouched page
+  EXPECT_TRUE(table.Row(300).empty());
+  EXPECT_EQ(table.cells(), 0u);
+
+  const NodeId first[] = {3, 5, 8};
+  table.SetRow(300, first);
+  EXPECT_EQ(table.RowAsNodeSet(300).ToString(), "{3, 5, 8}");
+  EXPECT_EQ(table.cells(), 3u);
+  const NodeId second[] = {4};
+  table.SetRow(300, second);
+  EXPECT_EQ(table.RowAsNodeSet(300).ToString(), "{4}");
+  EXPECT_EQ(table.cells(), 1u);
+  table.SetRow(300, std::span<const NodeId>{});
+  EXPECT_TRUE(table.has_row(300));
+  EXPECT_EQ(table.cells(), 0u);
+}
+
+TEST(NodeTableTest, CopyRowsBetweenSparseTables) {
+  constexpr uint32_t kKeys = 5000;
+  EvalArena arena;
+  NodeTable from;
+  from.Reset(&arena, kKeys);
+  const NodeId a[] = {1, 2};
+  const NodeId b[] = {7};
+  from.SetRow(4999, a);
+  from.SetRow(12, b);
+  from.SetRow(2048, std::span<const NodeId>{});
+
+  NodeTable to;
+  to.Reset(&arena, kKeys);
+  const NodeId c[] = {9};
+  to.SetRow(600, c);  // survives: CopyRows only adds/overwrites
+  const NodeId d[] = {3};
+  to.SetRow(12, d);  // overwritten by from's row
+  to.CopyRows(from);
+  EXPECT_EQ(to.RowAsNodeSet(4999).ToString(), "{1, 2}");
+  EXPECT_EQ(to.RowAsNodeSet(12).ToString(), "{7}");
+  EXPECT_EQ(to.RowAsNodeSet(600).ToString(), "{9}");
+  EXPECT_TRUE(to.has_row(2048));
+  EXPECT_TRUE(to.Row(2048).empty());
+  EXPECT_FALSE(to.has_row(13));
+  EXPECT_FALSE(to.has_row(0));
+  EXPECT_EQ(to.cells(), 4u);
+}
+
+TEST(NodeTableTest, MoveAssignKeepsAllocatedPages) {
+  EvalArena arena;
+  NodeTable source;
+  source.Reset(&arena, 1024);
+  const NodeId row[] = {2, 6};
+  source.SetRow(700, row);
+  source.SetRow(3, row);
+
+  NodeTable target;
+  target.Reset(&arena, 10);
+  target = std::move(source);
+  EXPECT_FALSE(source.initialized());
+  EXPECT_EQ(source.cells(), 0u);
+  ASSERT_TRUE(target.initialized());
+  EXPECT_EQ(target.num_keys(), 1024u);
+  EXPECT_EQ(target.RowAsNodeSet(700).ToString(), "{2, 6}");
+  EXPECT_EQ(target.RowAsNodeSet(3).ToString(), "{2, 6}");
+  EXPECT_FALSE(target.has_row(701));
+  EXPECT_EQ(target.cells(), 4u);
+  // The moved-to table keeps committing into its (new) pages.
+  const NodeId more[] = {1};
+  target.SetRow(1023, more);
+  EXPECT_EQ(target.RowAsNodeSet(1023).ToString(), "{1}");
+  EXPECT_EQ(target.RowAsNodeSet(700).ToString(), "{2, 6}");
+}
+
+/// Reset allocates the page directory only; a row allocates one page.
+TEST(NodeTableTest, CostFollowsRowsNotKeys) {
+  constexpr uint32_t kKeys = 1u << 20;
+  EvalArena arena;
+  NodeTable table;
+  table.Reset(&arena, kKeys);
+  const size_t directory = arena.bytes_used();
+  EXPECT_LE(directory, (kKeys / 256) * sizeof(void*));
+  const NodeId row[] = {42};
+  table.SetRow(kKeys / 2, row);
+  EXPECT_LE(arena.bytes_used(), directory + 8 * 1024);
 }
 
 /// Back-to-back evaluations of different queries, documents, engines and
@@ -179,6 +327,46 @@ TEST(EvaluatorTest, SteadyStateAllocatesNoNewArenaBlocks) {
         << EngineKindToString(engine);
     EXPECT_EQ(session.arena_bytes_reserved(), reserved)
         << EngineKindToString(engine);
+  }
+}
+
+/// Point queries touch a handful of origins, so a session's arena must
+/// follow the rows they commit, not |D|: the per-origin tables of
+/// MINCONTEXT and top-down stay within 64 KiB on a 10x larger document.
+TEST(EvaluatorTest, PointQueryArenaDoesNotTrackDocumentSize) {
+  constexpr uint64_t kArenaBound = 64 * 1024;
+  const char* queries[] = {
+      "id('person17')/name",
+      "count(id('auction17')/bidder)",
+      "id('auction17')/bidder[last()]/increase",
+  };
+  const xml::Document small = xml::MakeAuctionDocument(2'000);
+  const xml::Document large = xml::MakeAuctionDocument(20'000);
+  for (EngineKind engine : {EngineKind::kOptMinContext,
+                            EngineKind::kMinContext, EngineKind::kTopDown}) {
+    Evaluator session;
+    for (const xml::Document* doc : {&small, &large}) {
+      for (const char* query : queries) {
+        const xpath::CompiledQuery compiled = MustCompile(query);
+        EvalOptions naive;
+        naive.engine = EngineKind::kNaive;
+        StatusOr<Value> expected = Evaluate(compiled, *doc, {}, naive);
+        ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+        EvalStats stats;
+        EvalOptions options;
+        options.engine = engine;
+        options.stats = &stats;
+        StatusOr<Value> got = session.Evaluate(compiled, *doc, {}, options);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_TRUE(got->StructurallyEquals(*expected))
+            << query << " under " << EngineKindToString(engine)
+            << "\nexpected: " << expected->Repr()
+            << "\ngot:      " << got->Repr();
+        EXPECT_LE(stats.arena_bytes_peak, kArenaBound)
+            << query << " under " << EngineKindToString(engine) << " on "
+            << doc->size() << " nodes";
+      }
+    }
   }
 }
 

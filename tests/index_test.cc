@@ -135,6 +135,71 @@ TEST(StepIndexTest, IndexedStepMatchesScanPath) {
   }
 }
 
+/// Child steps from a few scattered origins walk one postings window per
+/// origin instead of the covering window; nested origins keep the
+/// covering window. Either way both tiers reproduce the scan path, and
+/// document-order prefixes under a limit stay exact.
+TEST(StepIndexTest, SparseChildFrontierMatchesScanOnBothTiers) {
+  xml::Document doc = xml::MakeAuctionDocument(400, 5);
+  const std::vector<NodeId>& persons =
+      doc.index().ElementsNamed(doc.LookupNameId("person"));
+  ASSERT_GE(persons.size(), 400u);
+  const std::vector<NodeId>& auctions =
+      doc.index().ElementsNamed(doc.LookupNameId("open_auction"));
+  ASSERT_GE(auctions.size(), 100u);
+  // Every 97th person and every 37th open auction: disjoint origins
+  // spread over the document. Auctions have grandchildren (bidder/
+  // increase), which a child step must leave out.
+  NodeSet scattered;
+  for (size_t i = 3; i < persons.size(); i += 97) {
+    scattered.PushBackOrdered(persons[i]);
+  }
+  NodeSet some_auctions;
+  for (size_t i = 1; i < auctions.size(); i += 37) {
+    some_auctions.PushBackOrdered(auctions[i]);
+  }
+  scattered = scattered.Union(some_auctions);
+  // The people element nests every person: the per-origin plan is off.
+  NodeSet nested = scattered.Union(
+      NodeSet::Single(doc.parent(persons.front())));
+  for (const NodeTest& test :
+       {NameTest("name"), NameTest("bidder"), NameTest("increase"),
+        NameTest("nosuch"), AnyTest()}) {
+    for (const NodeSet* x : {&scattered, &nested}) {
+      const NodeSet scan =
+          ApplyNodeTest(doc, Axis::kChild, test,
+                        EvalAxis(doc, Axis::kChild, *x));
+      bool verdict[2];
+      for (index::IndexTier tier :
+           {index::IndexTier::kHot, index::IndexTier::kDense}) {
+        const index::PostingsView postings = index::StepPostings(
+            doc, doc.index_view(tier), Axis::kChild, test);
+        verdict[static_cast<int>(tier)] = index::IndexedStepWorthwhile(
+            doc, postings, Axis::kChild, x->ids());
+        for (uint64_t limit : {index::kNoStepLimit, uint64_t{1}, uint64_t{3}}) {
+          std::vector<NodeId> got;
+          index::IndexedStepOverPostingsInto(doc, postings, Axis::kChild,
+                                             test, x->ids(), &got, limit);
+          std::vector<NodeId> want(scan.begin(), scan.end());
+          if (want.size() > limit) want.resize(limit);
+          EXPECT_EQ(got, want) << test.ToString() << " |x|=" << x->size()
+                               << " tier "
+                               << index::IndexTierToString(tier)
+                               << " limit " << limit;
+        }
+      }
+      EXPECT_EQ(verdict[0], verdict[1]) << test.ToString();
+    }
+  }
+  // child::* from the scattered origins: the covering window holds
+  // almost every element, so its log|X| probes would lose to the O(|D|)
+  // scan; the per-origin windows keep the step indexed.
+  EXPECT_TRUE(index::IndexedStepWorthwhile(
+      doc, index::StepPostings(doc, doc.index_view(index::IndexTier::kHot),
+                               Axis::kChild, AnyTest()),
+      Axis::kChild, scattered.ids()));
+}
+
 TEST(StepIndexTest, IndexedApplyNodeTestMatchesScanPath) {
   xml::Document doc = xml::MakeRandomDocument(80, {"a", "b", "c"}, 99);
   const DocumentIndex& idx = doc.index();

@@ -197,6 +197,16 @@ const char* kAttributeCorpus[] = {
     "count(//@id)",
 };
 
+/// Child steps from a few scattered origins (the index kernel's
+/// per-origin windows), anchored by id() so every engine stays cheap on
+/// an auction document.
+const char* kSparseChildCorpus[] = {
+    "id(id('auction3')/bidder/personref)/name",
+    "id('person1 person50 person120 person199')/*",
+    "id('person7 person150')/name | id('item3 item70')/name",
+    "count(id('person1 person100 person180')/*)",
+};
+
 struct ParallelDiffCase {
   EngineKind engine;
   bool use_index;
@@ -324,6 +334,24 @@ INSTANTIATE_TEST_SUITE_P(
       if (!info.param.use_index) return name + "_scan";
       return name + "_" + index::IndexTierToString(info.param.tier);
     });
+
+/// Bottom-up is left out: its |D|³ tables cap it at 192 nodes, far below
+/// the frontier spread where the per-origin child windows fire. The
+/// naive engine ignores both the index and parallel options.
+TEST(ParallelSparseChildTest, ResultsAndStatsMatchSequential) {
+  const xml::Document doc = xml::MakeAuctionDocument(200, /*seed=*/11);
+  for (EngineKind engine :
+       {EngineKind::kTopDown, EngineKind::kMinContext,
+        EngineKind::kOptMinContext, EngineKind::kCoreXPath}) {
+    ExpectParallelMatchesSequential(doc, kSparseChildCorpus,
+                                    {engine, /*use_index=*/false});
+    for (index::IndexTier tier :
+         {index::IndexTier::kHot, index::IndexTier::kDense}) {
+      ExpectParallelMatchesSequential(doc, kSparseChildCorpus,
+                                      {engine, /*use_index=*/true, tier});
+    }
+  }
+}
 
 // --- early termination under parallel eval ----------------------------------
 
