@@ -9,9 +9,9 @@
 // --smoke gates the serve tier for CI (the eighth perf wall):
 //   - zero transport errors and zero 5xx responses under concurrency;
 //   - p99 ≤ max(5 × p50, 2000 µs): tail amplification through the
-//     accept → handler → dispatcher → pool pipeline stays bounded. The
-//     absolute floor keeps a 1-core container from failing on scheduler
-//     jitter when p50 is a few hundred microseconds.
+//     accept → handler path (each handler evaluates its own requests)
+//     stays bounded. The absolute floor keeps a small container from
+//     failing on scheduler jitter when p50 is tens of microseconds.
 // --json PATH writes the numbers for the perf-trajectory artifact.
 
 #include <algorithm>
@@ -84,7 +84,6 @@ int main(int argc, char** argv) {
 
   serve::ServeOptions options;
   options.io_threads = clients;
-  options.workers = 2;
   serve::Server server(options);
   server.documents().Put("items", xml::Parse(ItemsXml(2000)).value());
   server.documents().Put(

@@ -1,6 +1,7 @@
-// The batch server, promoted to a real service: serve::Server puts the
-// BatchEvaluator worker pool, the versioned DocumentStore, per-tenant
-// plan caches and admission control behind an embedded HTTP endpoint.
+// The batch server, promoted to a real service: serve::Server puts
+// handler threads that each evaluate on their own Evaluator session, the
+// versioned DocumentStore, per-tenant plan caches and admission control
+// behind an embedded HTTP endpoint.
 // See docs/http_api.md for the wire surface and docs/operations.md for
 // the metrics this process exports at /metrics.
 //

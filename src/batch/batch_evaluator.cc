@@ -107,15 +107,13 @@ std::vector<BatchResult> BatchEvaluator::EvaluateAll(
   // One batch at a time; concurrent callers queue here.
   std::lock_guard<std::mutex> batch_lock(batch_mu_);
 
-  if (options_.warm_documents) {
-    std::vector<const xml::Document*> docs;
-    for (const BatchItem& item : items) {
-      if (item.doc != nullptr) docs.push_back(item.doc);
-    }
-    std::sort(docs.begin(), docs.end());
-    docs.erase(std::unique(docs.begin(), docs.end()), docs.end());
-    for (const xml::Document* doc : docs) doc->WarmCaches();
+  std::vector<const xml::Document*> docs;
+  for (const BatchItem& item : items) {
+    if (item.doc != nullptr) docs.push_back(item.doc);
   }
+  std::sort(docs.begin(), docs.end());
+  docs.erase(std::unique(docs.begin(), docs.end()), docs.end());
+  for (const xml::Document* doc : docs) doc->WarmCaches();
 
   std::vector<BatchResult> results(items.size());
   Batch batch;
@@ -175,39 +173,28 @@ void BatchEvaluator::WorkerLoop(int worker_index) {
         ++local.errors;
         continue;
       }
-      // A supplied plan (the serve tier's per-tenant resolution)
-      // bypasses the pool cache and its hit/miss accounting.
-      SharedPlan plan = item.plan;
-      if (plan == nullptr) {
-        StatusOr<SharedPlan> cached =
-            cache_->GetOrCompile(item.query, &out.cache_hit);
-        if (out.cache_hit) {
-          ++local.plan_cache_hits;
-        } else {
-          ++local.plan_cache_misses;
-        }
-        if (!cached.ok()) {
-          out.value = cached.status();
-          ++local.errors;
-          const uint64_t done_ns = obs::MonotonicNanos();
-          item_latency_us_->Record((done_ns - claim_ns) / 1000);
-          busy_ns += done_ns - claim_ns;
-          continue;
-        }
-        plan = std::move(cached).value();
+      StatusOr<SharedPlan> plan =
+          cache_->GetOrCompile(item.query, &out.cache_hit);
+      if (out.cache_hit) {
+        ++local.plan_cache_hits;
+      } else {
+        ++local.plan_cache_misses;
+      }
+      if (!plan.ok()) {
+        out.value = plan.status();
+        ++local.errors;
+        const uint64_t done_ns = obs::MonotonicNanos();
+        item_latency_us_->Record((done_ns - claim_ns) / 1000);
+        busy_ns += done_ns - claim_ns;
+        continue;
       }
 
-      EvalOptions opts = item.eval.has_value() ? *item.eval : options_.eval;
-      // Per-item overrides may carry their own (single-worker) sink;
-      // the pool's aggregation still needs every item's counters, so
-      // evaluate into a private sink and fan out afterwards.
-      EvalStats* caller_sink = opts.stats;
+      EvalOptions opts = options_.eval;
       EvalStats item_stats;
       opts.stats = &item_stats;
       opts.result = item.result;  // per-item result shape (BatchItem)
-      out.value = session.Evaluate(*plan, *item.doc, item.context, opts);
+      out.value = session.Evaluate(**plan, *item.doc, item.context, opts);
       MergeEvalStats(&local.eval, item_stats);
-      if (caller_sink != nullptr) MergeEvalStats(caller_sink, item_stats);
       if (!out.value.ok()) ++local.errors;
       const uint64_t done_ns = obs::MonotonicNanos();
       item_latency_us_->Record((done_ns - claim_ns) / 1000);

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,30 +30,11 @@ namespace xpe::batch {
 /// engines, so probe-shaped items cost what a probe costs. It overrides
 /// BatchOptions::eval.result for this item. A per-item sink, if set,
 /// runs on whichever worker thread evaluates the item.
-///
-/// `plan` (optional) supplies a precompiled plan, bypassing the pool's
-/// own PlanCache for this item; `query` is then informational only
-/// (error messages). This is the serve-tier handoff: xpe::serve
-/// resolves plans in *per-tenant* PlanCaches (sharing the process-wide
-/// CanonicalPlanLevel) and hands the worker pool ready plans, so tenant
-/// isolation lives in the caches while the pool stays tenant-blind.
-/// Plan-supplied items count neither a cache hit nor a miss, and
-/// BatchResult::cache_hit stays false — the caller already knows.
-///
-/// `eval` (optional) overrides BatchOptions::eval for this item: the
-/// serve tier uses it for per-request budgets (admission control) and
-/// per-request parallelism. Unlike BatchOptions::eval, a per-item
-/// stats/profile sink here is allowed — exactly one worker evaluates
-/// the item, so there is no cross-thread sharing; the sink runs on that
-/// worker thread. The item's `result` field still wins over
-/// eval->result.
 struct BatchItem {
   std::string query;
   const xml::Document* doc = nullptr;
   EvalContext context = {};
   ResultSpec result = {};
-  SharedPlan plan;
-  std::optional<EvalOptions> eval;
 };
 
 /// Per-item outcome, in *item order* — results[i] always answers
@@ -104,12 +84,7 @@ struct BatchOptions {
   size_t plan_cache_capacity = 1024;
   /// Variable bindings for every compile going through the cache.
   xpath::CompileOptions compile;
-  /// Force-build each distinct document's lazy caches (search index,
-  /// id-axis, number cache) before fan-out, so workers only ever read.
-  /// First-touch under contention is safe either way; warming keeps the
-  /// O(|D|) builds out of measured query latency.
-  bool warm_documents = true;
-  /// Where the pool publishes its serve-tier metrics — per-item latency
+  /// Where the pool publishes its metrics — per-item latency
   /// and queue-wait histograms, per-worker utilization, item/error
   /// counters — and where its PlanCache and worker sessions publish
   /// theirs. Null means the process-wide obs::Registry::Global(). Must
@@ -125,7 +100,8 @@ struct BatchOptions {
 ///
 /// Concurrency contract (machine-checked by the TSan CI job):
 ///  - Documents are shared read-only; their lazy caches synchronize
-///    first touch, and warm_documents pre-builds them.
+///    first touch, and EvaluateAll pre-builds them (Document::WarmCaches)
+///    before fan-out, keeping the O(|D|) builds out of item latency.
 ///  - Compiled plans are shared const; engines never write into them.
 ///  - Each Evaluator session is touched by exactly one worker at a time.
 ///  - Results land in per-item slots; EvaluateAll returns them in item
@@ -136,11 +112,10 @@ struct BatchOptions {
 /// callers queue on an internal mutex). The plan cache persists across
 /// batches, so steady-state workloads run fully warm.
 ///
-/// This pool is the evaluation backend of xpe::serve (serve/server.h):
-/// the HTTP front door micro-batches admitted requests onto
-/// EvaluateAll, with plans pre-resolved per tenant (BatchItem::plan)
-/// and per-request budgets applied via BatchItem::eval — see
-/// docs/architecture.md for the full request data-flow.
+/// xpe::serve (serve/server.h) does not use this pool: a server's
+/// requests arrive one at a time on its handler threads, and each
+/// handler evaluates its own on its own Evaluator session — the same
+/// inter-query parallelism without a batch boundary to wait for.
 class BatchEvaluator {
  public:
   explicit BatchEvaluator(const BatchOptions& options = {});
@@ -171,7 +146,7 @@ class BatchEvaluator {
   obs::Registry* registry_;  // resolved in the constructor, never null
   std::unique_ptr<PlanCache> cache_;
 
-  // Serve-tier metrics, resolved once at construction.
+  // Pool metrics, resolved once at construction.
   obs::Counter* items_total_;
   obs::Counter* errors_total_;
   obs::Histogram* item_latency_us_;

@@ -118,18 +118,27 @@ Value ApplyResultSpec(Value v, const ResultSpec& spec) {
   }
 }
 
+/// An answer found before any engine runs, already in the result mode's
+/// shape, with what accounts for it: one evaluated context, `visited`
+/// nodes, and one profile row keyed to `step`.
+struct EarlyAnswer {
+  Value value;
+  xpath::AstId step = 0;
+  uint64_t produced = 0;
+  uint64_t visited = 0;
+  bool from_summary = false;  // the summary prune; else a postings count
+};
+
 /// The O(log n) count fast path: a Count() evaluation — ResultMode::kCount,
 /// or a kFull evaluation of a top-level count(π) call — whose operand is a
 /// single predicate-free index-eligible descendant step answers straight
 /// from a postings CountInRange over the origin's subtree interval. No
-/// node-set is materialized and no engine runs: two binary searches over
-/// the per-name postings (either tier), so nodes_visited records
-/// 1 + ⌈log2(postings)⌉ instead of the match count. Returns true and sets
-/// `*out` (a Number) when the shape applies; stats are charged here
-/// because the engines never see the evaluation.
-bool TryCountFastPath(const xpath::CompiledQuery& query,
-                      const xml::Document& doc, const EvalContext& context,
-                      const EvalOptions& options, Value* out) {
+/// node-set is materialized: two binary searches over the per-name
+/// postings (either tier), so nodes_visited records 1 + ⌈log2(postings)⌉
+/// instead of the match count, and the row "produces" the count itself.
+bool CountFromPostings(const xpath::CompiledQuery& query,
+                       const xml::Document& doc, const EvalContext& context,
+                       const EvalOptions& options, EarlyAnswer* out) {
   // The naive engine stays the index-free executable specification.
   if (!options.use_index || options.engine == EngineKind::kNaive) return false;
   const xpath::QueryTree& tree = query.tree();
@@ -157,7 +166,6 @@ bool TryCountFastPath(const xpath::CompiledQuery& query,
     return false;
   }
   const xml::NodeId origin = node->absolute ? doc.root() : context.node;
-  const uint64_t t0 = options.profile != nullptr ? obs::MonotonicNanos() : 0;
   const IndexChoice index = ResolveIndexChoice(doc, options);
   const index::PostingsView postings = index::StepPostings(
       doc, doc.index_view(index.tier), step.axis, step.test);
@@ -167,45 +175,26 @@ bool TryCountFastPath(const xpath::CompiledQuery& query,
   const xml::NodeId lo =
       step.axis == Axis::kDescendant ? origin + 1 : origin;
   const uint64_t count = postings.CountInRange(lo, doc.subtree_end(origin));
-  const uint64_t visited =
-      1 + std::bit_width(static_cast<uint64_t>(postings.size()));
-  if (options.stats != nullptr) {
-    ++options.stats->contexts_evaluated;
-    ++options.stats->indexed_steps;
-    options.stats->nodes_visited += visited;
-    ++options.stats->count_fast_path;
-  }
-  if (options.profile != nullptr) {
-    // One row for the whole query: frontier is the single origin, the
-    // "produced" result is the count itself, and the visited charge is
-    // the same O(log) figure the stats carry — keeping the profiler's
-    // rows-account-for-stats invariant.
-    options.profile->RecordStep(node->children[0],
-                                obs::MonotonicNanos() - t0,
-                                /*frontier=*/1, /*produced=*/count, visited,
-                                /*indexed=*/true);
-  }
-  static obs::Counter* fast_path_total =
-      obs::Registry::Global().GetCounter("xpe_count_fast_path_total");
-  fast_path_total->Increment();
-  *out = Value::Number(static_cast<double>(count));
+  out->value = Value::Number(static_cast<double>(count));
+  out->step = node->children[0];
+  out->produced = count;
+  out->visited = 1 + std::bit_width(static_cast<uint64_t>(postings.size()));
   return true;
 }
 
-/// The summary prune: before any engine runs, walk the compiled AST
-/// against the document's structural summary (src/analyze/). If the
-/// top-level node-set is provably empty — or the boolean/count root
-/// provably constant — answer directly: the empty set / false / 0 is
-/// the result under *every* engine, tier and result mode, so nothing
-/// downstream can disagree. Costs O(|Q| · |summary|), charged to
-/// nodes_visited as the analyzer's step count; when the analysis cannot
-/// prove anything it touches no stats at all, keeping satisfiable
-/// evaluations bit-identical with analyze on and off. Returns true and
-/// sets `*out` (already in the result mode's shape — ApplyResultSpec
-/// must not run again) when the prune fires.
-bool TrySummaryPrune(const xpath::CompiledQuery& query,
-                     const xml::Document& doc, const EvalContext& context,
-                     const EvalOptions& options, Value* out) {
+/// The summary prune: walk the compiled AST against the document's
+/// structural summary (src/analyze/). If the top-level node-set is
+/// provably empty — or the boolean/count root provably constant — the
+/// empty set / false / 0 is the result under *every* engine, tier and
+/// result mode, so nothing downstream can disagree. Costs
+/// O(|Q| · |summary|), charged to nodes_visited as the analyzer's step
+/// count; when the analysis proves nothing the stage charges nothing,
+/// keeping satisfiable evaluations bit-identical with analyze on and
+/// off. The row is keyed to the step the analysis failed at (the root
+/// when the verdict came from a constant boolean/count root).
+bool ProveFromSummary(const xpath::CompiledQuery& query,
+                      const xml::Document& doc, const EvalContext& context,
+                      const EvalOptions& options, EarlyAnswer* out) {
   // The naive engine stays the analysis-free executable specification.
   if (!options.analyze || options.engine == EngineKind::kNaive) return false;
   // The Core XPath engine rejects queries outside its fragment; a prune
@@ -214,57 +203,84 @@ bool TrySummaryPrune(const xpath::CompiledQuery& query,
       query.fragment() != xpath::Fragment::kCoreXPath) {
     return false;
   }
-  const uint64_t t0 = options.profile != nullptr ? obs::MonotonicNanos() : 0;
   const analyze::QueryAnalysis analysis =
       analyze::AnalyzeQuery(query, doc, doc.summary(), context.node);
-  Value answer;
   if (analysis.proves_empty()) {
     switch (options.result.mode) {
       case ResultMode::kExists:
-        answer = Value::Boolean(false);
+        out->value = Value::Boolean(false);
         break;
       case ResultMode::kCount:
-        answer = Value::Number(0.0);
+        out->value = Value::Number(0.0);
         break;
       default:  // kFull / kFirst / kLimit: the empty node-set; a sink
                 // has nothing to stream.
-        answer = Value::Nodes(NodeSet());
+        out->value = Value::Nodes(NodeSet());
         break;
     }
   } else if (analysis.constant_boolean.has_value()) {
-    answer = Value::Boolean(*analysis.constant_boolean);
+    out->value = Value::Boolean(*analysis.constant_boolean);
   } else if (analysis.constant_number.has_value()) {
-    answer = Value::Number(*analysis.constant_number);
+    out->value = Value::Number(*analysis.constant_number);
   } else {
     return false;
   }
+  out->step = query.tree().root();
+  for (const analyze::StepAnalysis& s : analysis.steps) {
+    if (s.verdict == analyze::StepVerdict::kEmpty) {
+      out->step = s.step;
+      break;
+    }
+  }
+  out->visited = analysis.steps_analyzed;
+  out->from_summary = true;
+  return true;
+}
+
+/// The pre-engine answer stage: the summary prune, then the count fast
+/// path. When either answers, no engine runs, and the stats, the
+/// profiler row and the metric are charged here, once, for both — the
+/// engines never see the evaluation. The profiler row carries the same
+/// visited charge as the stats, keeping its rows-account-for-stats
+/// invariant. Returns true and sets `*out` (already in the result mode's
+/// shape — ApplyResultSpec must not run again) when the stage answers.
+bool AnswerBeforeEngines(const xpath::CompiledQuery& query,
+                         const xml::Document& doc, const EvalContext& context,
+                         const EvalOptions& options, Value* out) {
+  auto now = [&] {
+    return options.profile != nullptr ? obs::MonotonicNanos() : 0;
+  };
+  uint64_t t0 = now();
+  EarlyAnswer answer;
+  if (!ProveFromSummary(query, doc, context, options, &answer)) {
+    t0 = now();
+    if (!CountFromPostings(query, doc, context, options, &answer)) {
+      return false;
+    }
+  }
   if (options.stats != nullptr) {
     ++options.stats->contexts_evaluated;
-    options.stats->nodes_visited += analysis.steps_analyzed;
-    ++options.stats->pruned_by_summary;
+    options.stats->nodes_visited += answer.visited;
+    if (answer.from_summary) {
+      ++options.stats->pruned_by_summary;
+    } else {
+      ++options.stats->indexed_steps;
+      ++options.stats->count_fast_path;
+    }
   }
   if (options.profile != nullptr) {
-    // One row, keyed to the step the analysis failed at (the root when
-    // the verdict came from a constant boolean/count root), carrying
-    // the same O(|Q|) visited charge as the stats — the profiler's
-    // rows-account-for-stats invariant holds through the prune.
-    xpath::AstId culprit = query.tree().root();
-    for (const analyze::StepAnalysis& s : analysis.steps) {
-      if (s.verdict == analyze::StepVerdict::kEmpty) {
-        culprit = s.step;
-        break;
-      }
-    }
-    options.profile->RecordPhase("summary", obs::MonotonicNanos() - t0);
-    options.profile->RecordStep(culprit, obs::MonotonicNanos() - t0,
-                                /*frontier=*/1, /*produced=*/0,
-                                /*nodes_visited=*/analysis.steps_analyzed,
-                                /*indexed=*/false);
+    const uint64_t elapsed = obs::MonotonicNanos() - t0;
+    if (answer.from_summary) options.profile->RecordPhase("summary", elapsed);
+    options.profile->RecordStep(answer.step, elapsed, /*frontier=*/1,
+                                answer.produced, answer.visited,
+                                /*indexed=*/!answer.from_summary);
   }
   static obs::Counter* pruned_total =
       obs::Registry::Global().GetCounter("xpe_analyze_pruned_total");
-  pruned_total->Increment();
-  *out = std::move(answer);
+  static obs::Counter* fast_path_total =
+      obs::Registry::Global().GetCounter("xpe_count_fast_path_total");
+  (answer.from_summary ? pruned_total : fast_path_total)->Increment();
+  *out = std::move(answer.value);
   return true;
 }
 
@@ -300,52 +316,33 @@ StatusOr<Value> internal::EvaluateWith(EvalWorkspace& ws,
   }
   const uint64_t eval_t0 =
       options.profile != nullptr ? obs::MonotonicNanos() : 0;
-  auto finish = [&](StatusOr<Value> result) -> StatusOr<Value> {
+  // Every exit records the eval phase and the arena peak.
+  auto record_eval = [&] {
     if (options.profile != nullptr) {
       options.profile->RecordPhase("eval", obs::MonotonicNanos() - eval_t0);
     }
     if (options.stats != nullptr) {
       options.stats->arena_bytes_peak = std::max<uint64_t>(
           options.stats->arena_bytes_peak, ws.arena()->bytes_peak());
-      // Budget trips are recorded centrally so the counter is uniform
-      // across engines, tiers and result modes — kCount and kLimit trip
-      // it identically (the regression test in engine_test.cc holds the
-      // modes equal).
-      if (!result.ok() &&
-          result.status().code() == StatusCode::kResourceExhausted) {
-        ++options.stats->budget_trips;
-      }
+    }
+  };
+  if (Value early; AnswerBeforeEngines(query, doc, context, options, &early)) {
+    record_eval();
+    return StatusOr<Value>(std::move(early));
+  }
+  auto finish = [&](StatusOr<Value> result) -> StatusOr<Value> {
+    record_eval();
+    // Budget trips are recorded centrally so the counter is uniform
+    // across engines, tiers and result modes — kCount and kLimit trip
+    // it identically (the regression test in engine_test.cc holds the
+    // modes equal).
+    if (options.stats != nullptr && !result.ok() &&
+        result.status().code() == StatusCode::kResourceExhausted) {
+      ++options.stats->budget_trips;
     }
     if (!result.ok()) return result;
     return ApplyResultSpec(std::move(result).value(), spec);
   };
-  // The summary prune bypasses the engines entirely: a proven-empty (or
-  // proven-constant) query is answered in O(|Q|) with the result already
-  // in the mode's shape, so ApplyResultSpec must not run. It still
-  // records the eval phase and arena peak, like the count fast path.
-  if (Value pruned; TrySummaryPrune(query, doc, context, options, &pruned)) {
-    if (options.profile != nullptr) {
-      options.profile->RecordPhase("eval", obs::MonotonicNanos() - eval_t0);
-    }
-    if (options.stats != nullptr) {
-      options.stats->arena_bytes_peak = std::max<uint64_t>(
-          options.stats->arena_bytes_peak, ws.arena()->bytes_peak());
-    }
-    return StatusOr<Value>(std::move(pruned));
-  }
-  // The count fast path bypasses the engines entirely (its answer is a
-  // Number already, so ApplyResultSpec must not run — kCount's reduction
-  // expects a node-set); it still records the eval phase and arena peak.
-  if (Value fast; TryCountFastPath(query, doc, context, options, &fast)) {
-    if (options.profile != nullptr) {
-      options.profile->RecordPhase("eval", obs::MonotonicNanos() - eval_t0);
-    }
-    if (options.stats != nullptr) {
-      options.stats->arena_bytes_peak = std::max<uint64_t>(
-          options.stats->arena_bytes_peak, ws.arena()->bytes_peak());
-    }
-    return StatusOr<Value>(std::move(fast));
-  }
   switch (options.engine) {
     case EngineKind::kNaive:
       // The naive engine ignores the node limit (it is the executable

@@ -18,7 +18,7 @@ namespace xpe::serve {
 ///    `max_budget` caps what any request may ask for, so one tenant's
 ///    pathological query is cut off by kResourceExhausted (HTTP 422)
 ///    after a bounded number of (step × frontier-node) charge units
-///    rather than occupying a worker indefinitely.
+///    rather than occupying a handler thread indefinitely.
 struct AdmissionOptions {
   /// Concurrently admitted /query requests; <= 0 admits nothing (every
   /// query gets 429 — the deterministic overload arm of serve_test).

@@ -226,9 +226,6 @@ Server::Server(ServeOptions options)
   connections_shed_total_ =
       registry_->GetCounter("xpe_serve_connections_shed_total");
   request_us_ = registry_->GetHistogram("xpe_serve_request_us");
-  dispatch_batch_size_ =
-      registry_->GetHistogram("xpe_serve_dispatch_batch_size");
-  queue_wait_us_ = registry_->GetHistogram("xpe_serve_queue_wait_us");
 }
 
 Server::~Server() { Stop(); }
@@ -237,28 +234,21 @@ Status Server::Start() {
   if (running_.load(std::memory_order_acquire)) {
     return Status::InvalidArgument("server already running");
   }
+  if (options_.eval.stats != nullptr || options_.eval.profile != nullptr) {
+    return Status::InvalidArgument(
+        "ServeOptions::eval must not carry a stats or profile sink: every "
+        "handler thread would write it concurrently");
+  }
   stop_.store(false, std::memory_order_release);
 
   XPE_ASSIGN_OR_RETURN(listener_,
                        Listener::Bind(options_.host, options_.port));
   port_ = listener_.port();
 
-  batch::BatchOptions pool_options;
-  pool_options.workers = options_.workers;
-  pool_options.eval = options_.eval;
-  pool_options.compile = options_.compile;
-  pool_options.registry = registry_;
-  // The store warms at Put; re-warming per batch would add a pointless
-  // O(distinct docs) pass per dispatch.
-  pool_options.warm_documents = false;
-  pool_ = std::make_unique<batch::BatchEvaluator>(pool_options);
-
   running_.store(true, std::memory_order_release);
   acceptor_ = std::thread([this] { AcceptLoop(); });
-  dispatcher_ = std::thread([this] { DispatchLoop(); });
-  const int handlers = std::max(1, options_.io_threads);
-  handlers_.reserve(handlers);
-  for (int i = 0; i < handlers; ++i) {
+  handlers_.reserve(handler_count());
+  for (int i = 0; i < handler_count(); ++i) {
     handlers_.emplace_back([this] { HandlerLoop(); });
   }
   return Status::OK();
@@ -267,22 +257,19 @@ Status Server::Start() {
 void Server::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
   {
-    // Set under both queue locks so no handler can observe stop_ false
-    // and then enqueue past the dispatcher's drain.
-    std::lock_guard<std::mutex> conns_lock(conns_mu_);
-    std::lock_guard<std::mutex> queue_lock(queue_mu_);
+    // Set under the connection lock so no idle handler can observe
+    // stop_ false and then sleep through the notify below.
+    std::lock_guard<std::mutex> lock(conns_mu_);
     stop_.store(true, std::memory_order_release);
   }
   listener_.Close();  // wakes the acceptor
   conns_cv_.notify_all();
-  queue_cv_.notify_all();
 
   if (acceptor_.joinable()) acceptor_.join();
   for (std::thread& handler : handlers_) {
     if (handler.joinable()) handler.join();
   }
   handlers_.clear();
-  if (dispatcher_.joinable()) dispatcher_.join();
 
   // Connections accepted but never claimed by a handler.
   std::lock_guard<std::mutex> lock(conns_mu_);
@@ -325,6 +312,11 @@ void Server::AcceptLoop() {
 }
 
 void Server::HandlerLoop() {
+  // This handler's evaluation session: its arena and scratch pools are
+  // reused by every query the handler serves, and touched by no other
+  // thread.
+  Evaluator session;
+  session.AttachMetrics(registry_);
   for (;;) {
     int fd = -1;
     {
@@ -338,12 +330,12 @@ void Server::HandlerLoop() {
       pending_conns_.pop_front();
     }
     connections_total_->Increment();
-    ServeConnection(fd);
+    ServeConnection(fd, session);
     close(fd);
   }
 }
 
-void Server::ServeConnection(int fd) {
+void Server::ServeConnection(int fd, Evaluator& session) {
   std::string buffer;
   for (;;) {
     HttpRequest request;
@@ -381,7 +373,7 @@ void Server::ServeConnection(int fd) {
 
     requests_total_->Increment();
     const uint64_t t0 = obs::MonotonicNanos();
-    HttpResponse response = Route(request);
+    HttpResponse response = Route(request, session);
     request_us_->Record((obs::MonotonicNanos() - t0) / 1000);
     if (response.status >= 500) {
       responses_5xx_total_->Increment();
@@ -396,13 +388,13 @@ void Server::ServeConnection(int fd) {
   }
 }
 
-HttpResponse Server::Route(const HttpRequest& request) {
+HttpResponse Server::Route(const HttpRequest& request, Evaluator& session) {
   const std::string_view path = request.path();
   if (path == "/query") {
     if (request.method != "POST") {
       return ErrorResponse(405, "MethodNotAllowed", "use POST /query");
     }
-    return HandleQuery(request);
+    return HandleQuery(request, session);
   }
   if (path == "/analyze") {
     if (request.method != "POST") {
@@ -471,7 +463,8 @@ batch::PlanCache::Stats Server::TenantCacheStats(const std::string& tenant) {
   return TenantCache(tenant).stats();
 }
 
-HttpResponse Server::HandleQuery(const HttpRequest& request) {
+HttpResponse Server::HandleQuery(const HttpRequest& request,
+                                 Evaluator& session) {
   StatusOr<Json> body = Json::Parse(request.body);
   if (!body.ok()) return ErrorResponse(body.status());
   if (!body->is_object()) {
@@ -535,53 +528,32 @@ HttpResponse Server::HandleQuery(const HttpRequest& request) {
   }
 
   // Compile (or hit) in the tenant's cache. Compile errors answer here,
-  // before the job ever reaches the worker pool.
+  // before any engine work.
   bool cache_hit = false;
   StatusOr<batch::SharedPlan> plan =
       TenantCache(tenant).GetOrCompile(xpath, &cache_hit);
   if (!plan.ok()) return ErrorResponse(plan.status());
 
-  QueryJob job;
-  job.doc = handle;
-  job.ticket = std::move(*ticket);
-  job.item.query = std::move(xpath);
-  job.item.doc = &handle->doc;
-  job.item.plan = std::move(plan).value();
-  job.item.result.mode = mode;
-  job.item.result.limit = limit;
+  // Evaluate on this handler's session. The ticket and the handle stay
+  // alive until this function returns, so the slot stays counted and the
+  // document version stays pinned through rendering.
   EvalOptions eval = options_.eval;
   eval.budget = admission_.EffectiveBudget(budget);
   eval.parallel.enabled = parallel;
   if (tier_override.has_value()) eval.index_tier = tier_override;
-  job.item.eval = eval;
-  job.enqueue_ns = obs::MonotonicNanos();
+  eval.result = ResultSpec{.mode = mode, .limit = limit, .sink = nullptr};
+  const uint64_t eval_t0 = obs::MonotonicNanos();
+  const StatusOr<Value> value =
+      session.Evaluate(**plan, handle->doc, EvalContext{}, eval);
+  const uint64_t eval_us = (obs::MonotonicNanos() - eval_t0) / 1000;
+  if (!value.ok()) return ErrorResponse(value.status());
 
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    if (stop_.load(std::memory_order_acquire)) {
-      return ErrorResponse(503, "ShuttingDown", "server is stopping");
-    }
-    queue_.push_back(&job);
-  }
-  queue_cv_.notify_one();
-
-  {
-    std::unique_lock<std::mutex> lock(job.mu);
-    job.cv.wait(lock, [&] { return job.done || job.shed; });
-  }
-  if (job.shed) {
-    return ErrorResponse(503, "ShuttingDown",
-                         "server stopped before the query ran");
-  }
-  if (!job.result.value.ok()) return ErrorResponse(job.result.value.status());
-
-  Json out = RenderValue(*job.result.value, handle->doc);
+  Json out = RenderValue(*value, handle->doc);
   out.Set("doc", Json::Str(handle->name));
   out.Set("doc_version", Json::Number(static_cast<double>(handle->version)));
   out.Set("mode", Json::Str(mode_name));
   out.Set("cache_hit", Json::Bool(cache_hit));
-  out.Set("eval_us", Json::Number(static_cast<double>(
-                         (obs::MonotonicNanos() - job.enqueue_ns) / 1000)));
+  out.Set("eval_us", Json::Number(static_cast<double>(eval_us)));
   HttpResponse response;
   response.body = out.Dump();
   return response;
@@ -617,7 +589,7 @@ HttpResponse Server::HandleAnalyze(const HttpRequest& request) {
   if (!plan.ok()) return ErrorResponse(plan.status());
 
   // The analysis itself is O(|Q| · |summary|) — cheap enough to answer
-  // on the handler thread, no admission ticket or worker dispatch.
+  // without an admission ticket.
   const xml::Document& doc = handle->doc;
   const analyze::StructuralSummary& summary = doc.summary();
   const analyze::QueryAnalysis analysis =
@@ -663,7 +635,7 @@ HttpResponse Server::HandleHealth() {
   Json body = Json::Obj();
   body.Set("status", Json::Str("ok"));
   body.Set("documents", Json::Number(static_cast<double>(documents_.size())));
-  body.Set("workers", Json::Number(pool_ != nullptr ? pool_->workers() : 0));
+  body.Set("workers", Json::Number(handler_count()));
   body.Set("inflight", Json::Number(admission_.inflight()));
   HttpResponse response;
   response.body = body.Dump();
@@ -732,54 +704,6 @@ HttpResponse Server::HandleDocumentDelete(std::string_view name) {
   HttpResponse response;
   response.body = body.Dump();
   return response;
-}
-
-void Server::DispatchLoop() {
-  for (;;) {
-    std::vector<QueryJob*> jobs;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [&] {
-        return stop_.load(std::memory_order_acquire) || !queue_.empty();
-      });
-      if (stop_.load(std::memory_order_acquire)) {
-        // Drain everything still queued as shed; exit once empty. No
-        // new jobs can appear — handlers check stop_ under this mutex.
-        while (!queue_.empty()) {
-          QueryJob* job = queue_.front();
-          queue_.pop_front();
-          std::lock_guard<std::mutex> job_lock(job->mu);
-          job->shed = true;
-          job->cv.notify_one();
-        }
-        return;
-      }
-      while (!queue_.empty() && jobs.size() < std::max<size_t>(
-                                                  1, options_.max_batch)) {
-        jobs.push_back(queue_.front());
-        queue_.pop_front();
-      }
-    }
-
-    dispatch_batch_size_->Record(jobs.size());
-    const uint64_t claim_ns = obs::MonotonicNanos();
-    std::vector<batch::BatchItem> items;
-    items.reserve(jobs.size());
-    for (QueryJob* job : jobs) {
-      queue_wait_us_->Record((claim_ns - job->enqueue_ns) / 1000);
-      items.push_back(job->item);
-    }
-
-    std::vector<batch::BatchResult> results = pool_->EvaluateAll(items);
-
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      QueryJob* job = jobs[i];
-      std::lock_guard<std::mutex> job_lock(job->mu);
-      job->result = std::move(results[i]);
-      job->done = true;
-      job->cv.notify_one();
-    }
-  }
 }
 
 }  // namespace xpe::serve

@@ -1,9 +1,9 @@
 #ifndef XPE_SERVE_SERVER_H_
 #define XPE_SERVE_SERVER_H_
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -12,9 +12,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/batch/batch_evaluator.h"
 #include "src/batch/plan_cache.h"
 #include "src/core/engine.h"
+#include "src/core/evaluator.h"
 #include "src/obs/metrics.h"
 #include "src/serve/admission.h"
 #include "src/serve/document_store.h"
@@ -38,17 +38,11 @@ struct ServeOptions {
   /// one handler for its keep-alive lifetime, so this bounds concurrent
   /// connections; arrivals beyond it queue in accept_backlog and are
   /// answered 503 when that overflows (connection-level shedding —
-  /// request-level shedding is `admission`).
+  /// request-level shedding is `admission`). Handlers evaluate their
+  /// own queries, so this also bounds concurrent evaluations.
   int io_threads = 8;
   /// Pending accepted connections awaiting a free handler.
   size_t accept_backlog = 64;
-
-  /// Evaluation worker pool (batch::BatchOptions::workers semantics:
-  /// 0 = hardware concurrency).
-  int workers = 0;
-  /// Most requests dispatched onto the pool as one micro-batch. Larger
-  /// batches amortize handoff; smaller bound head-of-line latency.
-  size_t max_batch = 64;
 
   /// Request-level admission control (429) and budget caps (422).
   AdmissionOptions admission;
@@ -63,8 +57,9 @@ struct ServeOptions {
 
   /// Base evaluation options for every request (engine, use_index,
   /// parallel defaults). Per-request fields — budget, result mode,
-  /// parallel — are overlaid per item; stats/profile sinks must be null
-  /// (the BatchEvaluator constructor aborts on shared sinks).
+  /// parallel, index tier — are overlaid per request. The stats and
+  /// profile sinks must be null: every handler would write them
+  /// concurrently, so Start() refuses them.
   EvalOptions eval;
   /// Variable bindings for every tenant's compiles. One binding
   /// environment per server — canonical keys don't encode bindings.
@@ -74,16 +69,17 @@ struct ServeOptions {
   HttpLimits limits;
 
   /// Where every subsystem below this server publishes its metrics —
-  /// xpe_serve_* (server, store, admission), xpe_batch_* (the pool),
-  /// xpe_plan_cache_* (tenant caches), xpe_session_* (worker sessions).
+  /// xpe_serve_* (server, store, admission), xpe_plan_cache_* (tenant
+  /// caches), xpe_session_* (the handlers' evaluation sessions).
   /// GET /metrics renders exactly this registry. Null = Global().
   obs::Registry* registry = nullptr;
 };
 
-/// The network front door over everything PR 1–7 built: a minimal
-/// embedded HTTP/1.1 server (blocking accept loop, fixed handler
-/// threads, no third-party dependencies) that micro-batches admitted
-/// queries onto one batch::BatchEvaluator.
+/// The network front door over the engines: a minimal embedded HTTP/1.1
+/// server (blocking accept loop, fixed handler threads, no third-party
+/// dependencies). Each handler evaluates its own admitted queries on its
+/// own pooled Evaluator session — inter-query parallelism over shared
+/// read-only documents needs no coordinator thread.
 ///
 /// Endpoints (full schemas and curl examples in docs/http_api.md):
 ///   POST   /query             evaluate an XPath against a named doc
@@ -98,16 +94,15 @@ struct ServeOptions {
 /// parses HTTP + JSON → admission ticket (429 beyond max_inflight) →
 /// document handle resolved in the DocumentStore (404) → plan resolved
 /// in the tenant's PlanCache (400 on compile errors, before any engine
-/// work) → the job joins the dispatch queue → the dispatcher drains the
-/// queue into BatchItems (plan + per-request budget/parallel overlaid)
-/// and runs one BatchEvaluator::EvaluateAll → the handler renders the
-/// item's result (or 422 on budget exhaustion) and answers.
+/// work) → the handler's session evaluates the plan with the request's
+/// budget, mode, parallelism and tier overlaid → the handler renders the
+/// result (or 422 on budget exhaustion) and answers.
 ///
-/// Threads: 1 acceptor + io_threads handlers + 1 dispatcher + the
-/// pool's workers. Stop() (and the destructor) stops accepting, fails
-/// queued jobs with 503, drains the dispatcher, and joins everything —
-/// no detached threads, which is what keeps serve_test clean under the
-/// TSan CI wall.
+/// Threads: 1 acceptor + io_threads handlers (intra-query parallelism
+/// borrows the process-wide exec::Executor). Stop() (and the destructor)
+/// stops accepting, lets each handler finish the request it is
+/// evaluating, and joins everything — no detached threads, which is what
+/// keeps serve_test clean under the TSan CI wall.
 class Server {
  public:
   explicit Server(ServeOptions options = {});
@@ -117,8 +112,9 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Binds, listens and spawns the serving threads. Returns the bind
-  /// error on failure (port in use, bad address). Idempotence: a second
-  /// Start on a running server is an error.
+  /// error on failure (port in use, bad address), and InvalidArgument
+  /// when options.eval carries a stats or profile sink. Idempotence: a
+  /// second Start on a running server is an error.
   Status Start();
 
   /// Stops accepting, completes in-flight work, joins all threads.
@@ -141,29 +137,14 @@ class Server {
   batch::PlanCache::Stats TenantCacheStats(const std::string& tenant);
 
  private:
-  /// One admitted query waiting for (or holding) its evaluation.
-  struct QueryJob {
-    batch::BatchItem item;
-    DocumentHandle doc;  // pins the document version end-to-end
-    AdmissionController::Ticket ticket;
-    uint64_t enqueue_ns = 0;
-
-    // Filled by the dispatcher, then signalled.
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    bool shed = false;  // server stopped before evaluation
-    batch::BatchResult result;
-  };
-
   void AcceptLoop();
   void HandlerLoop();
-  void DispatchLoop();
 
-  /// Serves one connection's keep-alive lifetime.
-  void ServeConnection(int fd);
-  HttpResponse Route(const HttpRequest& request);
-  HttpResponse HandleQuery(const HttpRequest& request);
+  /// Serves one connection's keep-alive lifetime; `session` is the
+  /// calling handler's own, so no two threads ever share one.
+  void ServeConnection(int fd, Evaluator& session);
+  HttpResponse Route(const HttpRequest& request, Evaluator& session);
+  HttpResponse HandleQuery(const HttpRequest& request, Evaluator& session);
   HttpResponse HandleAnalyze(const HttpRequest& request);
   HttpResponse HandleHealth();
   HttpResponse HandleMetrics(bool json);
@@ -173,13 +154,13 @@ class Server {
   HttpResponse HandleDocumentDelete(std::string_view name);
 
   batch::PlanCache& TenantCache(const std::string& tenant);
+  int handler_count() const { return std::max(1, options_.io_threads); }
 
   const ServeOptions options_;
   obs::Registry* registry_;  // resolved in the constructor, never null
   batch::CanonicalPlanLevel* canonical_;  // likewise
   DocumentStore documents_;
   AdmissionController admission_;
-  std::unique_ptr<batch::BatchEvaluator> pool_;
 
   // Serve-tier metrics, resolved once at construction.
   obs::Counter* requests_total_;
@@ -189,8 +170,6 @@ class Server {
   obs::Counter* connections_total_;
   obs::Counter* connections_shed_total_;
   obs::Histogram* request_us_;
-  obs::Histogram* dispatch_batch_size_;
-  obs::Histogram* queue_wait_us_;
 
   // Per-tenant plan caches (created on first use, never dropped — the
   // tenant id space is expected to be small and operator-controlled).
@@ -202,18 +181,12 @@ class Server {
   std::condition_variable conns_cv_;
   std::deque<int> pending_conns_;
 
-  // Admitted queries waiting for the dispatcher.
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<QueryJob*> queue_;
-
   std::atomic<bool> stop_{false};
   std::atomic<bool> running_{false};
   int port_ = 0;
   Listener listener_;
   std::thread acceptor_;
   std::vector<std::thread> handlers_;
-  std::thread dispatcher_;
 };
 
 }  // namespace xpe::serve

@@ -445,28 +445,52 @@ TEST(BatchEvaluatorTest, NonRootContextsAreHonored) {
 // ---------------------------------------------------------------------------
 
 TEST(SharedDocumentContentionTest, FirstTouchIndexBuildUnderContention) {
-  // A *fresh* document per round: all threads race the lazy index /
-  // id-axis / number-cache builds on first touch.
+  // A *fresh* document per input: all threads race the lazy index /
+  // id-axis / number-cache builds on first touch, mid-evaluation. The
+  // inputs cover a value comparison (the number cache) and id() over an
+  // auction document (the id axis).
+  struct Input {
+    xml::Document doc;
+    const char* query;
+  };
+  std::vector<Input> inputs;
   for (int round = 0; round < 5; ++round) {
-    const xml::Document doc =
-        xml::MakeRandomDocument(60, {"a", "b", "c"}, 1000 + round);
+    inputs.push_back(
+        {xml::MakeRandomDocument(60, {"a", "b", "c"}, 1000 + round),
+         "//a[. = 100]/b"});
+  }
+  inputs.push_back(
+      {xml::MakeRandomDocument(50, {"a", "b", "c"}, 21), "//a[. = 100]"});
+  inputs.push_back({xml::MakeAuctionDocument(6, 21), "id(//itemref)/name"});
+  for (const Input& input : inputs) {
+    const xml::Document& doc = input.doc;
     constexpr int kThreads = 8;
     std::atomic<int> failures{0};
+    std::vector<Value> values(kThreads);
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&] {
+      threads.emplace_back([&, t] {
         const index::DocumentIndex& idx = doc.index();  // racing first touch
         if (idx.size() != doc.size()) failures.fetch_add(1);
         if (doc.IdAxisForward(0).size() > doc.size()) failures.fetch_add(1);
-        xpath::CompiledQuery q = MustCompile("//a[. = 100]/b");
+        xpath::CompiledQuery q = MustCompile(input.query);
         Evaluator session;
         StatusOr<Value> v = session.Evaluate(q, doc, EvalContext{}, {});
-        if (!v.ok()) failures.fetch_add(1);
+        if (!v.ok()) {
+          failures.fetch_add(1);
+        } else {
+          values[t] = std::move(v).value();
+        }
       });
     }
     for (std::thread& t : threads) t.join();
-    EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ(failures.load(), 0) << input.query;
+    const std::vector<Value> expected =
+        SequentialReference({{input.query, &doc, {}}}, {});
+    for (const Value& v : values) {
+      EXPECT_TRUE(v.StructurallyEquals(expected[0])) << input.query;
+    }
   }
 }
 
@@ -483,28 +507,6 @@ TEST(SharedDocumentContentionTest, WarmCachesIsIdempotentAndComplete) {
     ASSERT_TRUE(warm_v.ok());
     ASSERT_TRUE(cold_v.ok());
     EXPECT_TRUE(warm_v->StructurallyEquals(*cold_v)) << q;
-  }
-}
-
-TEST(SharedDocumentContentionTest, ColdDocumentsThroughTheBatchPool) {
-  // warm_documents=false: the pool's workers themselves race first
-  // touch on each document's lazy caches mid-evaluation.
-  const xml::Document doc_a = xml::MakeRandomDocument(50, {"a", "b", "c"}, 21);
-  const xml::Document doc_b = xml::MakeAuctionDocument(6, 21);
-  std::vector<BatchItem> items;
-  for (int i = 0; i < 16; ++i) {
-    items.push_back({"//a[. = 100]", &doc_a, {}});
-    items.push_back({"id(//itemref)/name", &doc_b, {}});
-  }
-  BatchOptions options;
-  options.workers = 8;
-  options.warm_documents = false;
-  BatchEvaluator pool(options);
-  const std::vector<BatchResult> results = pool.EvaluateAll(items);
-  const std::vector<Value> expected = SequentialReference(items, options.eval);
-  for (size_t i = 0; i < items.size(); ++i) {
-    ASSERT_TRUE(results[i].value.ok()) << i;
-    EXPECT_TRUE(results[i].value->StructurallyEquals(expected[i])) << i;
   }
 }
 

@@ -1,10 +1,12 @@
 // The xpe::serve contract, end to end over loopback HTTP: one status
 // code per failure class (400 malformed, 404 unknown doc, 422 budget,
-// 429 overload, 503 shutdown), hot-swap visibility (in-flight requests
-// finish on their version, later requests see the new one), per-tenant
-// plan caches converging on one canonical plan, and a /metrics endpoint
-// whose Prometheus text actually parses. The threaded cases run under
-// the TSan CI wall like every other concurrency suite in this repo.
+// 429 overload), hot-swap visibility (in-flight requests finish on
+// their version, later requests see the new one), per-tenant plan
+// caches converging on one canonical plan, handlers evaluating
+// independently (a cheap query never waits behind a slow one), and a
+// /metrics endpoint whose Prometheus text actually parses. The threaded
+// cases run under the TSan CI wall like every other concurrency suite
+// in this repo.
 
 #include <gtest/gtest.h>
 
@@ -215,7 +217,6 @@ class ServeTest : public ::testing::Test {
     options.registry = &registry_;
     options.canonical = &canonical_;
     options.io_threads = 4;
-    options.workers = 2;
     server_ = std::make_unique<Server>(std::move(options));
     server_->documents().Put("catalog", MustParse(kCatalogXml));
     ASSERT_TRUE(server_->Start().ok());
@@ -563,6 +564,7 @@ TEST_F(ServeTest, HealthzAnswers) {
   const Json body = MustJson(*response);
   EXPECT_EQ(body.Find("status")->string(), "ok");
   EXPECT_EQ(body.Find("documents")->number(), 1);
+  EXPECT_EQ(body.Find("workers")->number(), 4) << "one per handler thread";
 }
 
 TEST_F(ServeTest, MetricsExposeEveryTierAsValidPrometheusText) {
@@ -576,7 +578,7 @@ TEST_F(ServeTest, MetricsExposeEveryTierAsValidPrometheusText) {
   for (std::string_view series :
        {"xpe_serve_requests_total", "xpe_serve_admission_admitted_total",
         "xpe_serve_request_us", "xpe_plan_cache_misses_total",
-        "xpe_batch_items_total", "xpe_batch_item_latency_us"}) {
+        "xpe_session_evals_total", "xpe_session_eval_latency_us"}) {
     EXPECT_NE(text.find(series), std::string::npos) << "missing " << series;
   }
   // Shape check: every non-empty line is a comment or `name[{labels}] value`.
@@ -654,6 +656,52 @@ TEST_F(ServeTest, ConcurrentClientsGetConsistentAnswers) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+TEST_F(ServeTest, CheapQueryIsNotHeldBehindASlowOne) {
+  StartServer();
+  // Eight value comparisons per item over 60000 items: a few hundred
+  // milliseconds of evaluation in an optimized build.
+  server_->documents().Put("big", MustParse(BigXml(60000)));
+  std::string slow = "//item[value = 2";
+  for (int v = 3; v <= 9; ++v) slow += " or value = " + std::to_string(v);
+  slow += "]";
+
+  std::atomic<bool> slow_done{false};
+  std::thread slow_client([&] {
+    StatusOr<HttpClient> client =
+        HttpClient::Connect("127.0.0.1", server_->port());
+    StatusOr<HttpResponse> response =
+        client.ok() ? client->RoundTrip("POST", "/query",
+                                        QueryBody(slow, "big").Dump())
+                    : StatusOr<HttpResponse>(client.status());
+    slow_done.store(true);
+    ASSERT_TRUE(response.ok()) << response.status();
+    EXPECT_EQ(response->status, 200) << response->body;
+  });
+
+  // The slow query holds an admission ticket while it evaluates; poll
+  // until it is seen in flight, so the order needs no sleeps.
+  bool admitted = false;
+  while (!admitted && !slow_done.load()) {
+    StatusOr<HttpResponse> health = client_.RoundTrip("GET", "/healthz");
+    if (!health.ok()) break;
+    admitted = MustJson(*health).Find("inflight")->number() >= 1;
+  }
+  StatusOr<HttpClient> cheap =
+      HttpClient::Connect("127.0.0.1", server_->port());
+  ASSERT_TRUE(cheap.ok()) << cheap.status();
+  StatusOr<HttpResponse> answer =
+      cheap->RoundTrip("POST", "/query", QueryBody("count(//book)").Dump());
+  const bool slow_outstanding = !slow_done.load();
+  slow_client.join();
+
+  ASSERT_TRUE(admitted) << "the slow query was never seen in flight";
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_EQ(answer->status, 200) << answer->body;
+  EXPECT_EQ(MustJson(*answer).Find("value")->number(), 3);
+  EXPECT_TRUE(slow_outstanding)
+      << "count(//book) waited for the slow query on another connection";
+}
+
 TEST_F(ServeTest, StopIsIdempotentAndRestartable) {
   StartServer();
   ASSERT_EQ(Query(QueryBody("//book")).status, 200);
@@ -668,6 +716,19 @@ TEST_F(ServeTest, StopIsIdempotentAndRestartable) {
       client->RoundTrip("POST", "/query", QueryBody("//book").Dump());
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->status, 200);
+}
+
+TEST(ServerOptionsTest, StartRefusesASharedStatsSink) {
+  // Every handler evaluates concurrently, so one sink in the base
+  // options would be written by all of them.
+  obs::Registry registry;
+  EvalStats stats;
+  ServeOptions options;
+  options.registry = &registry;
+  options.eval.stats = &stats;
+  Server server(options);
+  EXPECT_EQ(server.Start().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(server.running());
 }
 
 }  // namespace
